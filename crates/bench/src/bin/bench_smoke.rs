@@ -31,7 +31,11 @@
 //! * an out-of-core run (same Gram workload under a resident-tile budget
 //!   far below its working set) diverges bitwise from the unbounded run,
 //!   fails to actually spill, or exceeds [`MAX_SPILL_SLOWDOWN`]x the
-//!   unbounded wall time.
+//!   unbounded wall time;
+//! * the GEMM fan-out under [`FAN_SPILL_BUDGET`] diverges bitwise from
+//!   its unbounded run, fails to spill, or costs more than
+//!   [`MAX_FAN_SPILL_SLOWDOWN`]x the unbounded wall in its best paired
+//!   round.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -88,11 +92,29 @@ const SPILL_BUDGETS: [u64; 2] = [2 << 20, 512 << 10];
 /// fan workload's ~8 MiB working set (the product plus three consumer
 /// outputs of 2 MiB each).
 const PREFETCH_BUDGETS: [u64; 2] = [2 << 20, 512 << 10];
-/// A budgeted run pays host-side codec and disk work the unbounded run
-/// skips; this bounds how much. Generous because CI walls are noisy and
-/// the runs are sub-second, but still low enough to catch a spill path
-/// that re-encodes or re-reads tiles quadratically.
+/// A budgeted run pays host-side encode, digest and disk work the
+/// unbounded run skips; this bounds how much. Generous because CI walls
+/// are noisy and the runs are sub-second, but still low enough to catch a
+/// spill path that re-encodes or re-reads tiles quadratically.
 const MAX_SPILL_SLOWDOWN: f64 = 6.0;
+/// The spill-heavy row: the GEMM fan-out at 1024^2 (tile 128) moves six
+/// 8 MiB matrices (two inputs, the product and three consumers) through a
+/// 2 MiB resident budget, so nearly every tile is demoted and read back.
+const FAN_META: MatrixMeta = MatrixMeta {
+    rows: 1024,
+    cols: 1024,
+    tile_size: 128,
+};
+const FAN_SPILL_BUDGET: u64 = 2 << 20;
+/// Paired (unbounded, budgeted) rounds of the fan row; the gate reads the
+/// best per-round ratio, as the e2e row does for seq/par.
+const FAN_SPILL_ROUNDS: usize = 3;
+/// Bound on the fan row's best paired budgeted/unbounded wall ratio. On
+/// a 2-core AVX-512 host, 8 runs of this row measured 3.5–4.3x (worst
+/// single round 5.5x); with an LZSS pass on every demotion the same row
+/// measured 13–16x. The bound sits between the two, so a codec-class
+/// cost on the spill path trips it while host noise does not.
+const MAX_FAN_SPILL_SLOWDOWN: f64 = 8.0;
 
 fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
@@ -503,10 +525,9 @@ fn spill_smoke() {
         let stats = stats.expect("budgeted run installs a spill plane");
         let identical = fp == base_fp;
         let slowdown = wall / base_s;
-        let ratio = stats.blob.compression_ratio();
         println!(
             "spill budget {} KiB: {wall:.2}s ({slowdown:.2}x unbounded {base_s:.2}s), \
-             {} eviction(s), {} readmission(s), {} B spilled ({ratio:.2}x compression), \
+             {} eviction(s), {} readmission(s), {} B spilled, \
              {} B read back, bitwise identical: {identical}",
             budget >> 10,
             stats.evictions,
@@ -523,7 +544,6 @@ fn spill_smoke() {
              \"slowdown\":{slowdown:.3},\"bitwise_identical\":{identical},\
              \"evictions\":{},\"readmissions\":{},\"spilled_bytes\":{},\
              \"readback_bytes\":{},\"readback_bytes_avoided\":{},\
-             \"compression_ratio\":{ratio:.4},\
              \"blob_segments\":{}}}",
             stats.evictions,
             stats.readmissions,
@@ -552,26 +572,23 @@ fn spill_smoke() {
             failed = true;
         }
     }
+    let (fan_json, fan_failed) = fan_spill_smoke();
     let (prefetch_json, prefetch_failed) = prefetch_smoke();
     let json = format!(
         "{{\"experiment\":\"spill_gram_1536\",\"threads\":{E2E_THREADS},\
          \"unbounded_seconds\":{base_s:.4},\"runs\":[{rows}],\
-         \"prefetch\":{prefetch_json}}}"
+         \"fan\":{fan_json},\"prefetch\":{prefetch_json}}}"
     );
     std::fs::write("BENCH_spill.json", json).expect("write BENCH_spill.json");
-    if failed || prefetch_failed {
+    if failed || fan_failed || prefetch_failed {
         std::process::exit(1);
     }
 }
 
-/// One fan-out run (GEMM feeding three element-wise consumers of the
-/// product) at `E2E_THREADS` threads under a resident-tile budget, with
-/// spill-aware scheduling at `depth` (0 = off). Spill counters are
-/// snapshotted *before* the result readback: `get_local` drags spilled
-/// tiles back synchronously no matter what the scheduler did, so only
-/// in-run traffic is comparable. The fingerprint covers the readback
-/// too (re-admission correctness).
-fn prefetch_once(budget: u64, depth: usize) -> (String, cumulon::dfs::SpillStats) {
+/// Provisions a cluster under a resident-tile budget (0 = unbounded) and
+/// runs the GEMM fan-out on it: C = AB feeding P = C + A, Q = C - B and
+/// R = 0.5C, in Real mode at `E2E_THREADS` threads.
+fn fan_run(meta: MatrixMeta, budget: u64, config: SchedulerConfig) -> (Cluster, RunReport) {
     set_default_threads(E2E_THREADS);
     let cluster = Cluster::provision_with(
         ClusterSpec::named("m1.large", 4, 2).unwrap(),
@@ -579,15 +596,12 @@ fn prefetch_once(budget: u64, depth: usize) -> (String, cumulon::dfs::SpillStats
         DfsConfig::default(),
     )
     .unwrap();
-    cluster
-        .store()
-        .set_memory_budget(&cumulon::dfs::SpillConfig::budgeted(budget))
-        .unwrap();
-    let meta = MatrixMeta {
-        rows: 512,
-        cols: 512,
-        tile_size: 64,
-    };
+    if budget > 0 {
+        cluster
+            .store()
+            .set_memory_budget(&cumulon::dfs::SpillConfig::budgeted(budget))
+            .unwrap();
+    }
     let mut inputs = BTreeMap::new();
     for (name, seed) in [("A", 3), ("B", 5)] {
         cluster
@@ -619,17 +633,12 @@ fn prefetch_once(budget: u64, depth: usize) -> (String, cumulon::dfs::SpillStats
     for i in catalog() {
         model.insert(i.name, OpCoefficients::idealized(i, 2.0, 0.85));
     }
-    let opt = Optimizer::new(model);
-    let mut config = SchedulerConfig::default().with_threads(E2E_THREADS);
-    if depth > 0 {
-        config = config.with_prefetch(depth);
-    }
-    let report = opt
+    let report = Optimizer::new(model)
         .execute_on_traced(
             &cluster,
             &program,
             &inputs,
-            "prefetch",
+            "fan",
             ExecMode::Real,
             config,
             &FailurePlan::default(),
@@ -637,6 +646,117 @@ fn prefetch_once(budget: u64, depth: usize) -> (String, cumulon::dfs::SpillStats
             &Trace::disabled(),
         )
         .unwrap();
+    (cluster, report)
+}
+
+/// One fan-out run at [`FAN_META`] under `budget` (0 = unbounded), timed
+/// from execution through the readback of all three outputs (which drags
+/// every spilled output tile back through the blob store). Returns (wall
+/// seconds, fingerprint over the outputs, spill counters).
+fn fan_spill_once(budget: u64) -> (f64, String, Option<cumulon::dfs::SpillStats>) {
+    let config = SchedulerConfig::default().with_threads(E2E_THREADS);
+    let t0 = Instant::now();
+    let (cluster, report) = fan_run(FAN_META, budget, config);
+    let outputs: Vec<LocalMatrix> = ["P", "Q", "R"]
+        .iter()
+        .map(|name| cluster.store().get_local(name).unwrap())
+        .collect();
+    let wall = t0.elapsed().as_secs_f64();
+    let fp = fingerprint(&report, &outputs);
+    (wall, fp, cluster.store().dfs().spill_stats())
+}
+
+/// Spill wall-time gate on the GEMM fan-out: [`FAN_SPILL_ROUNDS`] paired
+/// (unbounded, budgeted) rounds, so an ambient contention window slows
+/// both sides of a round's ratio. Every budgeted run must match the
+/// unbounded fingerprint bitwise and actually spill; the best per-round
+/// ratio may not exceed [`MAX_FAN_SPILL_SLOWDOWN`].
+fn fan_spill_smoke() -> (String, bool) {
+    let mut ratios = Vec::with_capacity(FAN_SPILL_ROUNDS);
+    let (mut base_best, mut spill_best) = (f64::INFINITY, f64::INFINITY);
+    let mut identical = true;
+    let mut last = None;
+    for _ in 0..FAN_SPILL_ROUNDS {
+        let (base_s, base_fp, none) = fan_spill_once(0);
+        assert!(none.is_none(), "no spill plane expected without a budget");
+        let (spill_s, fp, stats) = fan_spill_once(FAN_SPILL_BUDGET);
+        identical &= fp == base_fp;
+        ratios.push(spill_s / base_s);
+        base_best = base_best.min(base_s);
+        spill_best = spill_best.min(spill_s);
+        last = stats;
+    }
+    let stats = last.expect("budgeted run installs a spill plane");
+    let slowdown = ratios.iter().copied().fold(f64::INFINITY, f64::min);
+    let worst = ratios.iter().copied().fold(0.0, f64::max);
+    println!(
+        "spill fan {}^2 t{} budget {} KiB: {spill_best:.2}s vs unbounded {base_best:.2}s, \
+         best paired ratio {slowdown:.2}x (worst {worst:.2}x, bound {MAX_FAN_SPILL_SLOWDOWN}x), \
+         {} eviction(s), {} readmission(s), {} B spilled, {} B read back, \
+         bitwise identical: {identical}",
+        FAN_META.rows,
+        FAN_META.tile_size,
+        FAN_SPILL_BUDGET >> 10,
+        stats.evictions,
+        stats.readmissions,
+        stats.spilled_bytes_total,
+        stats.readback_bytes_total,
+    );
+    let mut failed = false;
+    if !identical {
+        eprintln!("GATE FAIL: fan spill run diverged from its unbounded run");
+        failed = true;
+    }
+    if stats.evictions == 0 || stats.spilled_bytes_total == 0 {
+        eprintln!("GATE FAIL: fan spill run never spilled — the gate is vacuous");
+        failed = true;
+    }
+    if slowdown > MAX_FAN_SPILL_SLOWDOWN {
+        eprintln!(
+            "GATE FAIL: fan spill ran {slowdown:.2}x the unbounded wall in its best \
+             paired round (bound {MAX_FAN_SPILL_SLOWDOWN}x)"
+        );
+        failed = true;
+    }
+    let ratios_json: Vec<String> = ratios.iter().map(|r| format!("{r:.3}")).collect();
+    (
+        format!(
+            "{{\"experiment\":\"spill_fan_{}\",\"threads\":{E2E_THREADS},\
+             \"budget_bytes\":{FAN_SPILL_BUDGET},\"rounds\":{FAN_SPILL_ROUNDS},\
+             \"unbounded_seconds\":{base_best:.4},\"spill_seconds\":{spill_best:.4},\
+             \"paired_ratios\":[{}],\"slowdown\":{slowdown:.3},\
+             \"bound\":{MAX_FAN_SPILL_SLOWDOWN},\"bitwise_identical\":{identical},\
+             \"evictions\":{},\"readmissions\":{},\"spilled_bytes\":{},\
+             \"readback_bytes\":{}}}",
+            FAN_META.rows,
+            ratios_json.join(","),
+            stats.evictions,
+            stats.readmissions,
+            stats.spilled_bytes_total,
+            stats.readback_bytes_total,
+        ),
+        failed,
+    )
+}
+
+/// One fan-out run (GEMM feeding three element-wise consumers of the
+/// product) at `E2E_THREADS` threads under a resident-tile budget, with
+/// spill-aware scheduling at `depth` (0 = off). Spill counters are
+/// snapshotted *before* the result readback: `get_local` drags spilled
+/// tiles back synchronously no matter what the scheduler did, so only
+/// in-run traffic is comparable. The fingerprint covers the readback
+/// too (re-admission correctness).
+fn prefetch_once(budget: u64, depth: usize) -> (String, cumulon::dfs::SpillStats) {
+    let meta = MatrixMeta {
+        rows: 512,
+        cols: 512,
+        tile_size: 64,
+    };
+    let mut config = SchedulerConfig::default().with_threads(E2E_THREADS);
+    if depth > 0 {
+        config = config.with_prefetch(depth);
+    }
+    let (cluster, report) = fan_run(meta, budget, config);
     let stats = cluster
         .store()
         .dfs()

@@ -1469,7 +1469,6 @@ pub fn e20() -> Series {
             "evict",
             "readmit",
             "spilled (MB)",
-            "codec ratio",
             "identical t1/tN",
         ],
     );
@@ -1553,7 +1552,6 @@ pub fn e20() -> Series {
                 st.evictions.to_string(),
                 st.readmissions.to_string(),
                 format!("{:.1}", st.spilled_bytes_total as f64 / 1e6),
-                format!("{:.2}", st.blob.compression_ratio()),
                 format!(
                     "{}/{}",
                     fp1 == base_fp && probe_fp == base_fp,
@@ -2044,7 +2042,7 @@ mod tests {
         let s = e20();
         assert_eq!(s.rows.len(), 4, "{s:?}");
         for row in &s.rows {
-            assert_eq!(row[7], "true/true", "spill plane not transparent: {row:?}");
+            assert_eq!(row[6], "true/true", "spill plane not transparent: {row:?}");
             let evictions: u64 = row[3].parse().unwrap();
             assert!(evictions > 0, "budgeted run never evicted: {row:?}");
             let spilled: f64 = row[5].parse().unwrap();

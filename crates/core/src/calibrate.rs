@@ -585,17 +585,16 @@ pub struct SpillProfile {
 }
 
 impl SpillProfile {
-    /// Measures blob-segment round-trip throughput with incompressible
-    /// payloads stored raw (compression would measure the codec, not the
-    /// disk). `quick` trims the volume for CI budgets. Best-of-2 on each
+    /// Measures blob-segment round-trip throughput: the same `put`/`get`
+    /// calls demotion and re-admission make, payloads stored verbatim.
+    /// `quick` trims the volume for CI budgets. Best-of-2 on each
     /// direction to shed scheduler noise.
     pub fn measure(quick: bool) -> Result<SpillProfile> {
         use cumulon_dfs::blob::{BlobKey, BlobStore};
-        use cumulon_matrix::compress::Codec;
         use std::time::Instant;
 
         let (entry_bytes, entries) = if quick { (1 << 20, 8) } else { (4 << 20, 16) };
-        // Incompressible deterministic payload (LCG bytes).
+        // Deterministic pseudo-random payload (LCG bytes).
         let mut payload = vec![0u8; entry_bytes];
         let mut state = 0x9e3779b97f4a7c15u64;
         for b in payload.iter_mut() {
@@ -620,13 +619,13 @@ impl SpillProfile {
             for (i, &key) in keys.iter().enumerate() {
                 payload[0] = i as u8;
                 store
-                    .put(key, Codec::Raw, &payload, entry_bytes as u32)
+                    .put(key, &payload)
                     .map_err(|e| CoreError::Calibration(format!("spill probe put: {e}")))?;
             }
             best_write = best_write.min(t0.elapsed().as_secs_f64());
             let t0 = Instant::now();
             for &key in &keys {
-                let (_, data, _) = store
+                let data = store
                     .get(key)
                     .map_err(|e| CoreError::Calibration(format!("spill probe get: {e}")))?;
                 std::hint::black_box(&data);

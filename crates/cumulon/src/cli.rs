@@ -792,7 +792,6 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<()> {
                 let config = cumulon_dfs::SpillConfig {
                     budget_bytes: *memory_budget,
                     dir: spill_dir.as_ref().map(std::path::PathBuf::from),
-                    compress: true,
                 };
                 cluster
                     .store()
@@ -899,15 +898,10 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<()> {
             }
             if *memory_budget > 0 {
                 if let Some(stats) = cluster.store().dfs().spill_stats() {
-                    let ratio = if stats.blob.bytes_written > 0 {
-                        stats.blob.raw_bytes_written as f64 / stats.blob.bytes_written as f64
-                    } else {
-                        1.0
-                    };
                     writeln!(
                         out,
-                        "spill  : {} eviction(s), {} readmission(s), {} B spilled \
-                         ({ratio:.2}x compression), {} B read back",
+                        "spill  : {} eviction(s), {} readmission(s), {} B spilled, \
+                         {} B read back",
                         stats.evictions,
                         stats.readmissions,
                         stats.spilled_bytes_total,

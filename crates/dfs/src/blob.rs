@@ -3,8 +3,8 @@
 //!
 //! Spilled tile payloads land here as entries in **append-only segment
 //! files** (`seg-NNNNNN.blob` under the store's directory). Each entry is
-//! keyed by a deterministic 128-bit digest of its *uncompressed* bytes,
-//! so identical tile encodings written twice dedupe to one stored copy —
+//! keyed by a deterministic 128-bit digest of its bytes, so identical
+//! tile encodings written twice dedupe to one stored copy —
 //! re-spilling a tile that round-tripped through RAM unchanged costs no
 //! new disk bytes. Entries carry a reference count (one per live DFS file
 //! pointing at them); releasing the last reference marks the entry's
@@ -23,44 +23,101 @@
 //! Segment entry framing (little-endian):
 //!
 //! ```text
-//! [key: 16 bytes] [codec: u8] [stored_len: u32] [raw_len: u32] [payload]
+//! [key: 16 bytes] [len: u64] [payload: len bytes]
 //! ```
 //!
-//! The store never reads an entry it did not index in memory, so the
-//! framing exists for crash-inspection and compaction rewrites, not for
-//! recovery — the whole store lives for one simulation process and its
-//! directory is removed on drop.
+//! Payloads are stored verbatim: there is no codec. The spill path
+//! stores encoded tiles, and dense `f64` tiles do not compress (an LZSS
+//! pass measured 1.00x at 6–14 ms/MiB); the one case a codec used to
+//! win, all-zero tiles, already collapses to a single entry by content
+//! addressing. The store never reads an entry it did not index in
+//! memory, so the framing exists for crash-inspection and compaction
+//! rewrites, not for recovery — the whole store lives for one simulation
+//! process and its directory is removed on drop.
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::PathBuf;
 
-use cumulon_matrix::compress::Codec;
-
 use crate::error::{DfsError, Result};
 
-/// Deterministic 128-bit content digest (two independent FNV-1a streams).
+/// Deterministic 128-bit content digest, computed a 64-bit word at a
+/// time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlobKey(pub [u64; 2]);
+
+const P1: u64 = 0x9e37_79b9_7f4a_7c15;
+const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const P3: u64 = 0x1656_67b1_9e37_79f9;
+const P4: u64 = 0x85eb_ca77_c2b2_ae63;
+
+/// One multiply-rotate lane step: a bijection of `acc` for a fixed
+/// `word` and of `word` for a fixed `acc`, so a changed input word
+/// always leaves its lane changed. One multiply per word keeps the lanes
+/// throughput-bound rather than latency-bound.
+#[inline(always)]
+fn lane_round(acc: u64, word: u64) -> u64 {
+    (acc ^ word).wrapping_mul(P1).rotate_left(29)
+}
+
+/// Full-avalanche 64-bit finisher (the MurmurHash3 `fmix64` constants).
+fn fmix64(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8-byte chunk"))
+}
 
 impl BlobKey {
     /// Digest of a byte buffer. Not cryptographic — collision resistance
     /// here only has to beat the handful of distinct tiles one simulation
     /// produces, and determinism (same bytes → same key on every run and
     /// platform) is the property the equivalence tests lean on.
+    ///
+    /// Four independent multiply-rotate lanes consume 32-byte stripes of
+    /// little-endian `u64` words, so the multiplies pipeline instead of
+    /// forming one serial chain; the tail is zero-padded into whole
+    /// words. The length is folded into both halves, which then each go
+    /// through a full-avalanche finish.
     pub fn digest(bytes: &[u8]) -> BlobKey {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h1 = OFFSET;
-        // Second stream: different offset basis, byte-shifted input.
-        let mut h2 = OFFSET ^ 0x5bd1_e995_9d1b_54a5;
-        for &b in bytes {
-            h1 = (h1 ^ b as u64).wrapping_mul(PRIME);
-            h2 = (h2 ^ (b as u64).rotate_left(3)).wrapping_mul(PRIME);
+        let mut lanes = [P1.wrapping_add(P2), P2, P3, P1.wrapping_neg()];
+        let mut stripes = bytes.chunks_exact(32);
+        for stripe in &mut stripes {
+            for (i, lane) in lanes.iter_mut().enumerate() {
+                *lane = lane_round(*lane, word(&stripe[i * 8..i * 8 + 8]));
+            }
         }
-        // Fold the length in so prefixes don't collide.
-        h2 = (h2 ^ bytes.len() as u64).wrapping_mul(PRIME);
+        let tail = stripes.remainder();
+        let mut words = tail.chunks_exact(8);
+        for (i, w) in (&mut words).enumerate() {
+            lanes[i] = lane_round(lanes[i], word(w));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            lanes[3] = lane_round(lanes[3], u64::from_le_bytes(last));
+        }
+        let [a, b, c, d] = lanes;
+        let len = bytes.len() as u64;
+        let lo = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18));
+        let hi = a
+            .wrapping_mul(P3)
+            .rotate_left(29)
+            .wrapping_add(b.rotate_left(41) ^ c.wrapping_mul(P4))
+            .wrapping_add(d.rotate_left(53));
+        let h1 = fmix64(lo ^ len.wrapping_mul(P3));
+        let h2 = fmix64(hi ^ len.wrapping_mul(P4) ^ h1.rotate_left(32));
         BlobKey([h1, h2])
     }
 
@@ -78,11 +135,8 @@ struct EntryMeta {
     segment: u64,
     /// Offset of the payload (past the frame header) within the segment.
     offset: u64,
-    /// Stored (possibly compressed) payload length.
-    stored_len: u32,
-    /// Uncompressed length.
-    raw_len: u32,
-    codec: Codec,
+    /// Payload length.
+    len: u64,
     /// Live references (DFS files currently pointing at this entry).
     refs: u32,
 }
@@ -100,16 +154,14 @@ struct Segment {
 pub struct BlobStats {
     /// Distinct live entries.
     pub live_entries: u64,
-    /// Stored bytes of live entries (compressed form).
+    /// Stored bytes of live entries.
     pub live_bytes: u64,
     /// Stored bytes of dead entries not yet compacted away.
     pub dead_bytes: u64,
     /// Segment files currently on disk.
     pub segments: u64,
-    /// Total payload bytes ever appended (compressed form).
+    /// Total payload bytes ever appended.
     pub bytes_written: u64,
-    /// Total uncompressed bytes ever appended (the pre-codec size).
-    pub raw_bytes_written: u64,
     /// Total payload bytes read back out.
     pub bytes_read: u64,
     /// Compaction passes executed.
@@ -119,14 +171,10 @@ pub struct BlobStats {
 }
 
 impl BlobStats {
-    /// Compression ratio achieved on everything ever written:
-    /// uncompressed over stored (1.0 when nothing was written).
+    /// Wire bytes over stored bytes. Always 1.0: payloads are stored
+    /// verbatim (see the module docs for why there is no codec).
     pub fn compression_ratio(&self) -> f64 {
-        if self.bytes_written == 0 {
-            1.0
-        } else {
-            self.raw_bytes_written as f64 / self.bytes_written as f64
-        }
+        1.0
     }
 }
 
@@ -150,7 +198,7 @@ pub struct BlobStore {
     stats: BlobStats,
 }
 
-const FRAME_HEADER: u64 = 16 + 1 + 4 + 4;
+const FRAME_HEADER: u64 = 16 + 8;
 /// Default segment roll size: small enough that drop-heavy workloads
 /// produce several segments for compaction to reclaim, large enough that
 /// a segment amortizes its file handle.
@@ -229,11 +277,11 @@ impl BlobStore {
         Ok(())
     }
 
-    /// Stores `data` (already encoded under `codec`, `raw_len` bytes
-    /// before the codec) and takes one reference on it. Content-addressed:
-    /// if an entry with the same `key` is live, its refcount is bumped and
-    /// nothing is written.
-    pub fn put(&mut self, key: BlobKey, codec: Codec, data: &[u8], raw_len: u32) -> Result<()> {
+    /// Stores `data` and takes one reference on it. Content-addressed: if
+    /// an entry with the same `key` is live, its refcount is bumped and
+    /// nothing is written. The frame header and the payload go out as two
+    /// writes, so no framed copy of the payload is ever built.
+    pub fn put(&mut self, key: BlobKey, data: &[u8]) -> Result<()> {
         if let Some(e) = self.entries.get_mut(&key) {
             e.refs += 1;
             self.stats.dedup_hits += 1;
@@ -241,45 +289,42 @@ impl BlobStore {
         }
         self.open_segment()?;
         let (seg_id, file) = self.current.as_mut().expect("segment open");
-        let mut frame = Vec::with_capacity(FRAME_HEADER as usize + data.len());
-        frame.extend_from_slice(&key.to_bytes());
-        frame.push(codec.tag());
-        frame.extend_from_slice(&(data.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&raw_len.to_le_bytes());
-        frame.extend_from_slice(data);
-        file.write_all(&frame)
+        let len = data.len() as u64;
+        let mut header = [0u8; FRAME_HEADER as usize];
+        header[..16].copy_from_slice(&key.to_bytes());
+        header[16..].copy_from_slice(&len.to_le_bytes());
+        file.write_all(&header)
+            .and_then(|_| file.write_all(data))
             .map_err(|e| DfsError::Spill(format!("append segment {seg_id}: {e}")))?;
         let offset = self.current_len + FRAME_HEADER;
         let seg_id = *seg_id;
-        self.current_len += frame.len() as u64;
+        self.current_len = offset + len;
         self.entries.insert(
             key,
             EntryMeta {
                 segment: seg_id,
                 offset,
-                stored_len: data.len() as u32,
-                raw_len,
-                codec,
+                len,
                 refs: 1,
             },
         );
         let seg = self.segments.get_mut(&seg_id).expect("segment indexed");
-        seg.live_bytes += data.len() as u64;
+        seg.live_bytes += len;
         self.stats.live_entries += 1;
-        self.stats.live_bytes += data.len() as u64;
-        self.stats.bytes_written += data.len() as u64;
-        self.stats.raw_bytes_written += raw_len as u64;
+        self.stats.live_bytes += len;
+        self.stats.bytes_written += len;
         Ok(())
     }
 
-    /// Reads an entry's stored payload and its codec. The caller owns
-    /// decompression (the blob layer is codec-agnostic beyond framing).
-    pub fn get(&mut self, key: BlobKey) -> Result<(Codec, Vec<u8>, u32)> {
+    /// Reads an entry's payload into a fresh buffer. The bytes are what
+    /// the segment file holds now; callers that need integrity re-digest
+    /// them against `key`.
+    pub fn get(&mut self, key: BlobKey) -> Result<Vec<u8>> {
         let e = *self
             .entries
             .get(&key)
             .ok_or_else(|| DfsError::Spill(format!("blob entry {key:?} not found")))?;
-        let mut buf = vec![0u8; e.stored_len as usize];
+        let mut buf = vec![0u8; e.len as usize];
         // The entry may live in the currently-open segment; reuse that
         // handle (reads move the cursor, appends re-seek to the end).
         if let Some((cur_id, file)) = self.current.as_mut() {
@@ -288,8 +333,8 @@ impl BlobStore {
                     .and_then(|_| file.read_exact(&mut buf))
                     .and_then(|_| file.seek(SeekFrom::End(0)))
                     .map_err(|err| DfsError::Spill(format!("read segment {cur_id}: {err}")))?;
-                self.stats.bytes_read += buf.len() as u64;
-                return Ok((e.codec, buf, e.raw_len));
+                self.stats.bytes_read += e.len;
+                return Ok(buf);
             }
         }
         let path = self.segment_path(e.segment);
@@ -298,8 +343,8 @@ impl BlobStore {
         file.seek(SeekFrom::Start(e.offset))
             .and_then(|_| file.read_exact(&mut buf))
             .map_err(|err| DfsError::Spill(format!("read {}: {err}", path.display())))?;
-        self.stats.bytes_read += buf.len() as u64;
-        Ok((e.codec, buf, e.raw_len))
+        self.stats.bytes_read += e.len;
+        Ok(buf)
     }
 
     /// True when `key` has a live entry.
@@ -330,11 +375,11 @@ impl BlobStore {
         }
         let e = self.entries.remove(&key).expect("entry present");
         let seg = self.segments.get_mut(&e.segment).expect("segment indexed");
-        seg.live_bytes -= e.stored_len as u64;
-        seg.dead_bytes += e.stored_len as u64;
+        seg.live_bytes -= e.len;
+        seg.dead_bytes += e.len;
         self.stats.live_entries -= 1;
-        self.stats.live_bytes -= e.stored_len as u64;
-        self.stats.dead_bytes += e.stored_len as u64;
+        self.stats.live_bytes -= e.len;
+        self.stats.dead_bytes += e.len;
         self.maybe_compact(e.segment)?;
         self.maybe_sweep()?;
         Ok(())
@@ -386,7 +431,7 @@ impl BlobStore {
             .map(|(k, _)| *k)
             .collect();
         for key in live_keys {
-            let (codec, data, raw_len) = self.get(key)?;
+            let data = self.get(key)?;
             let refs = self.entries.remove(&key).expect("live entry").refs;
             // Live/dead accounting: the old copy leaves its segment…
             let seg = self.segments.get_mut(&segment).expect("segment indexed");
@@ -396,7 +441,7 @@ impl BlobStore {
             // …and a fresh copy lands in the current segment with the
             // same refcount. `put` re-counts bytes_written: compaction
             // I/O is real I/O and the stats should show it.
-            self.put(key, codec, &data, raw_len)?;
+            self.put(key, &data)?;
             self.entries.get_mut(&key).expect("recreated").refs = refs;
         }
         let seg = self.segments.remove(&segment).expect("segment indexed");
@@ -458,7 +503,6 @@ impl Drop for BlobStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cumulon_matrix::compress::maybe_compress;
 
     fn tmp_store(tag: &str) -> BlobStore {
         let dir =
@@ -468,23 +512,23 @@ mod tests {
     }
 
     #[test]
-    fn put_get_roundtrip_with_codec() {
+    fn put_get_roundtrip_stores_verbatim() {
         let mut s = tmp_store("roundtrip");
         let raw: Vec<u8> = (0..10_000u32).map(|i| (i % 7) as u8).collect();
-        let (codec, stored) = maybe_compress(&raw);
         let key = BlobKey::digest(&raw);
-        s.put(key, codec, &stored, raw.len() as u32).unwrap();
-        let (c2, data, raw_len) = s.get(key).unwrap();
-        assert_eq!(c2, codec);
-        assert_eq!(data, stored);
-        assert_eq!(raw_len as usize, raw.len());
-        assert_eq!(
-            cumulon_matrix::compress::decompress(c2, &data).unwrap(),
-            raw
-        );
+        s.put(key, &raw).unwrap();
+        assert_eq!(s.get(key).unwrap(), raw);
         let st = s.stats();
         assert_eq!(st.live_entries, 1);
-        assert!(st.compression_ratio() > 2.0, "{:?}", st);
+        assert_eq!(st.bytes_written, raw.len() as u64, "no codec, no frame");
+        assert_eq!(st.bytes_read, raw.len() as u64);
+        assert_eq!(st.compression_ratio(), 1.0, "{st:?}");
+        // On disk: one frame, header then the payload verbatim.
+        let seg = std::fs::read(s.segment_path(0)).unwrap();
+        assert_eq!(seg.len() as u64, FRAME_HEADER + raw.len() as u64);
+        assert_eq!(&seg[..16], &key.to_bytes());
+        assert_eq!(&seg[16..24], &(raw.len() as u64).to_le_bytes());
+        assert_eq!(&seg[24..], &raw[..]);
     }
 
     #[test]
@@ -492,8 +536,8 @@ mod tests {
         let mut s = tmp_store("dedupe");
         let raw = vec![9u8; 4096];
         let key = BlobKey::digest(&raw);
-        s.put(key, Codec::Raw, &raw, raw.len() as u32).unwrap();
-        s.put(key, Codec::Raw, &raw, raw.len() as u32).unwrap();
+        s.put(key, &raw).unwrap();
+        s.put(key, &raw).unwrap();
         let st = s.stats();
         assert_eq!(st.dedup_hits, 1);
         assert_eq!(st.live_entries, 1);
@@ -511,6 +555,57 @@ mod tests {
         assert_ne!(BlobKey::digest(b"abc"), BlobKey::digest(b"abd"));
         assert_ne!(BlobKey::digest(b""), BlobKey::digest(b"\0"));
         assert_ne!(BlobKey::digest(b"a"), BlobKey::digest(b"a\0"));
+        // Every tail shape: full stripes, leftover words, partial word.
+        let long: Vec<u8> = (0..200u32).map(|i| (i * 31 % 251) as u8).collect();
+        for n in [7, 8, 31, 32, 33, 63, 64, 71, 200] {
+            assert_ne!(
+                BlobKey::digest(&long[..n]),
+                BlobKey::digest(&long[..n - 1]),
+                "prefix of {n}"
+            );
+            let mut padded = long[..n].to_vec();
+            padded.push(0);
+            assert_ne!(BlobKey::digest(&long[..n]), BlobKey::digest(&padded));
+        }
+    }
+
+    const GOLDEN_EMPTY: [u64; 2] = [0xc771_7fb4_0250_90d6, 0xec8d_136a_814a_601b];
+    const GOLDEN_ABC: [u64; 2] = [0xa6d6_1276_3cf8_a668, 0x4573_eb12_1cc4_98a5];
+    const GOLDEN_SEQ: [u64; 2] = [0x9d83_0a49_2f16_21da, 0x401a_ea04_cbc1_86ee];
+    const GOLDEN_ZERO_PAGE: [u64; 2] = [0x93a2_6945_5eb9_bcc3, 0x62ee_5209_ae3e_89bd];
+
+    /// The digest addresses bytes on disk, so its values are part of the
+    /// format: these pins catch an accidental change to the function.
+    #[test]
+    fn digest_golden_values() {
+        let seq: Vec<u8> = (0..=255u8).collect();
+        let cases: [(&[u8], [u64; 2]); 4] = [
+            (b"", GOLDEN_EMPTY),
+            (b"abc", GOLDEN_ABC),
+            (&seq, GOLDEN_SEQ),
+            (&[0u8; 4096], GOLDEN_ZERO_PAGE),
+        ];
+        for (input, want) in cases {
+            assert_eq!(BlobKey::digest(input).0, want, "len {}", input.len());
+        }
+    }
+
+    /// Flipping any single bit of a tile-sized buffer changes both halves
+    /// of the key (the integrity check on readmit relies on this).
+    #[test]
+    fn digest_detects_every_single_bit_flip() {
+        let mut buf: Vec<u8> = (0..1000u32).map(|i| (i * 7 + 3) as u8).collect();
+        let base = BlobKey::digest(&buf);
+        for byte in [0, 1, 7, 8, 31, 32, 500, 991, 992, 999] {
+            for bit in 0..8 {
+                buf[byte] ^= 1 << bit;
+                let flipped = BlobKey::digest(&buf);
+                buf[byte] ^= 1 << bit;
+                assert_ne!(flipped.0[0], base.0[0], "byte {byte} bit {bit}");
+                assert_ne!(flipped.0[1], base.0[1], "byte {byte} bit {bit}");
+            }
+        }
+        assert_eq!(BlobKey::digest(&buf), base);
     }
 
     #[test]
@@ -524,7 +619,7 @@ mod tests {
                 .map(|j| (i.wrapping_mul(37).wrapping_add(j * 11) % 251) as u8)
                 .collect();
             let key = BlobKey::digest(&raw);
-            s.put(key, Codec::Raw, &raw, raw.len() as u32).unwrap();
+            s.put(key, &raw).unwrap();
             keys.push((key, raw));
         }
         let st = s.stats();
@@ -541,8 +636,7 @@ mod tests {
         assert!(st_after.segments < st.segments, "{st_after:?} vs {st:?}");
         for (i, (key, raw)) in keys.iter().enumerate() {
             if i % 2 == 1 {
-                let (codec, data, _) = s.get(*key).unwrap();
-                assert_eq!(codec, Codec::Raw);
+                let data = s.get(*key).unwrap();
                 assert_eq!(&data, raw, "entry {i} survived compaction");
             }
         }
@@ -589,7 +683,7 @@ mod tests {
             for i in 0..ENTRIES {
                 let raw = fill(i);
                 let key = BlobKey::digest(&raw);
-                s.put(key, Codec::Raw, &raw, raw.len() as u32).unwrap();
+                s.put(key, &raw).unwrap();
                 // Kill 3 of every 8 entries (per segment: 3 dead vs 5
                 // live — always under the per-segment 50% rule).
                 if i % 8 < 3 {
@@ -623,8 +717,7 @@ mod tests {
         for i in 0..ENTRIES {
             if i % 8 >= 3 {
                 let raw = fill(i);
-                let (codec, data, _) = sweep.get(BlobKey::digest(&raw)).unwrap();
-                assert_eq!(codec, Codec::Raw);
+                let data = sweep.get(BlobKey::digest(&raw)).unwrap();
                 assert_eq!(data, raw, "entry {i} survived sweeps");
             }
         }
@@ -638,9 +731,7 @@ mod tests {
         for i in 0..64u32 {
             let raw: Vec<u8> = (0..16 << 10u32).map(|j| ((i + j) % 251) as u8).collect();
             let key = BlobKey::digest(&raw);
-            counted
-                .put(key, Codec::Raw, &raw, raw.len() as u32)
-                .unwrap();
+            counted.put(key, &raw).unwrap();
             keys.push(key);
         }
         // One release per key: each segment goes 25% dead — under the

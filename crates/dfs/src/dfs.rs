@@ -12,8 +12,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use cumulon_matrix::compress::{decompress, maybe_compress, Codec};
-use cumulon_matrix::serialize::{decode_tile, encode_tile};
+use cumulon_matrix::serialize::{decode_tile_slice, encode_tile, encode_tile_vec};
 use cumulon_matrix::Tile;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -836,10 +835,10 @@ impl Dfs {
     }
 
     /// Demotes one handle file: encodes its tile through the ordinary wire
-    /// codec, optionally compresses, appends to the blob store (keyed by a
-    /// digest of the *encoded* tile, so identical content dedupes), and
-    /// swaps every replica of every block to a [`BlockPayload::Spilled`]
-    /// reference of identical wire length. Counter-neutral by
+    /// codec into one buffer, appends those bytes verbatim to the blob
+    /// store (keyed by a digest of the *encoded* tile, so identical
+    /// content dedupes), and swaps every replica of every block to a
+    /// [`BlockPayload::Spilled`] reference of identical wire length. Counter-neutral by
     /// construction. Files that are no longer on the handle plane (e.g.
     /// checkpoint-truncated to the byte plane) are skipped.
     fn demote_path(st: &mut DfsState, path: &str) -> Result<()> {
@@ -861,19 +860,12 @@ impl Dfs {
         let Some(tile) = tile else {
             return Ok(()); // not a handle file (anymore): nothing to demote
         };
-        let wire = encode_tile(&tile);
+        let wire = encode_tile_vec(&tile);
         let wire_len: u64 = blocks.iter().map(|b| b.len).sum();
         debug_assert_eq!(wire.len() as u64, wire_len, "handle len is the encoding");
         let plane = st.spill.as_mut().expect("demotion implies a plane");
-        let (codec, payload) = if plane.compress() {
-            maybe_compress(&wire)
-        } else {
-            (Codec::Raw, wire.to_vec())
-        };
         let key = BlobKey::digest(&wire);
-        plane
-            .blob_mut()
-            .put(key, codec, &payload, wire.len() as u32)?;
+        plane.blob_mut().put(key, &wire)?;
         if let Some(stale) = plane.record_spilled(path, key, wire_len) {
             // A superseded earlier spill of the same path (should not
             // happen through next_eviction, but churn-safe): release its
@@ -889,22 +881,23 @@ impl Dfs {
         Ok(())
     }
 
-    /// Re-admits one demoted file: reads the blob entry back, decompresses
-    /// and decodes it into a fresh `Arc<Tile>`, swaps every replica back
+    /// Re-admits one demoted file: reads the blob entry back, checks the
+    /// bytes against their content key, decodes them straight from the
+    /// read buffer into a fresh `Arc<Tile>`, swaps every replica back
     /// onto the handle plane, and releases the blob reference. The
     /// returned Arc is *new* — bitwise-equal to the one that was demoted,
     /// but not pointer-identical (the documented residency exception).
+    /// Bytes that changed on disk fail with [`DfsError::Spill`] and leave
+    /// the file demoted.
     fn readmit_path(st: &mut DfsState, path: &str, key: BlobKey) -> Result<Arc<Tile>> {
         let plane = st.spill.as_mut().expect("spilled payload implies a plane");
-        let (codec, payload, raw_len) = plane.blob_mut().get(key)?;
-        let wire = decompress(codec, &payload)?;
-        if wire.len() as u32 != raw_len {
+        let wire = plane.blob_mut().get(key)?;
+        if BlobKey::digest(&wire) != key {
             return Err(DfsError::Spill(format!(
-                "blob {key:?} decompressed to {} bytes, recorded {raw_len}",
-                wire.len()
+                "blob {key:?} for {path} failed its integrity check on readmit"
             )));
         }
-        let tile = Arc::new(decode_tile(Bytes::from(wire))?);
+        let tile = Arc::new(decode_tile_slice(&wire)?);
         let blocks = st.namenode.stat(path)?.blocks.clone();
         let wire_len: u64 = blocks.iter().map(|b| b.len).sum();
         for b in &blocks {
@@ -1425,6 +1418,49 @@ mod handle_plane_tests {
         let (bytes, r) = d.read_file("/t", None).unwrap();
         assert_eq!(r.bytes, wire);
         assert_eq!(decode_tile(bytes).unwrap(), *t);
+    }
+
+    /// A segment byte that changes on disk between demotion and readmit
+    /// surfaces as a typed spill error — never a panic, never a tile with
+    /// wrong values — and the file stays demoted.
+    #[test]
+    fn corrupt_segment_byte_fails_readmit_with_spill_error() {
+        let dir =
+            std::env::temp_dir().join(format!("cumulon-spill-corrupt-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let d = dfs(3, 2, 7);
+        d.set_spill_config(&SpillConfig {
+            dir: Some(dir.clone()),
+            ..SpillConfig::budgeted(1)
+        })
+        .unwrap();
+        let t = tile();
+        d.write_tile_file("/t", Arc::clone(&t), encoded_len(&t), Some(NodeId(0)), 2)
+            .unwrap();
+        assert!(d.is_spilled("/t"), "a 1-byte budget demotes every write");
+        let seg = dir.join("seg-000000.blob");
+        let mut bytes = std::fs::read(&seg).unwrap();
+        // Past the 24-byte frame header and the 24-byte tile header: one
+        // byte inside the first f64 value.
+        bytes[24 + 24 + 3] ^= 0x10;
+        std::fs::write(&seg, &bytes).unwrap();
+        match d.read_payload("/t", Some(NodeId(0))) {
+            Err(DfsError::Spill(msg)) => assert!(msg.contains("integrity"), "{msg}"),
+            Err(e) => panic!("wrong error kind: {e}"),
+            Ok(_) => panic!("corrupt segment readmitted a tile"),
+        }
+        assert!(
+            d.is_spilled("/t"),
+            "a failed readmit leaves the file demoted"
+        );
+        assert!(d.spill_conserved());
+        // Restoring the byte restores the tile, bitwise.
+        bytes[24 + 24 + 3] ^= 0x10;
+        std::fs::write(&seg, &bytes).unwrap();
+        match d.read_payload("/t", Some(NodeId(0))).unwrap().0 {
+            FilePayload::Tile(got) => assert_eq!(encode_tile(&got), encode_tile(&t)),
+            FilePayload::Bytes(_) => panic!("handle file came back as bytes"),
+        }
     }
 }
 

@@ -7,8 +7,8 @@
 //! bytes those resident handles pin is bounded by a configurable budget:
 //! when a write or read-back admission pushes the plane over budget, the
 //! **least-recently-used** resident files are *demoted* — encoded through
-//! the ordinary [`cumulon_matrix::serialize::encode_tile`] wire codec,
-//! optionally compressed, appended to a blob segment — and their in-RAM
+//! the ordinary [`cumulon_matrix::serialize::encode_tile_vec`] wire
+//! encoder, appended verbatim to a blob segment — and their in-RAM
 //! payloads replaced by a [`crate::datanode::BlockPayload::Spilled`]
 //! reference. The next read of a demoted file re-admits it through
 //! [`crate::Dfs::read_payload`], transparently.
@@ -46,18 +46,14 @@ pub struct SpillConfig {
     /// Blob-segment directory. `None` picks a unique directory under the
     /// system temp dir, removed when the plane drops.
     pub dir: Option<PathBuf>,
-    /// Compress spilled payloads ([`cumulon_matrix::compress`]); the
-    /// uncompressed path is the cross-checked reference.
-    pub compress: bool,
 }
 
 impl SpillConfig {
-    /// A budgeted plane with defaults (temp-dir segments, compression on).
+    /// A budgeted plane with defaults (temp-dir segments).
     pub fn budgeted(budget_bytes: u64) -> SpillConfig {
         SpillConfig {
             budget_bytes,
             dir: None,
-            compress: true,
         }
     }
 }
@@ -74,7 +70,7 @@ pub struct SpillStats {
     pub resident_files: u64,
     /// Files currently demoted to the blob store.
     pub spilled_files: u64,
-    /// Wire bytes of currently-demoted files (pre-compression).
+    /// Wire bytes of currently-demoted files.
     pub spilled_wire_bytes: u64,
     /// Demotions performed (monotonic).
     pub evictions: u64,
@@ -92,7 +88,7 @@ pub struct SpillStats {
     /// arrived (monotonic). `readback_bytes_total - readback_bytes_avoided`
     /// approximates the readback volume paid on the task critical path.
     pub readback_bytes_avoided: u64,
-    /// Blob-store counters (segments, compression ratio, compactions).
+    /// Blob-store counters (segments, dedup hits, compactions).
     pub blob: BlobStats,
 }
 
@@ -101,8 +97,8 @@ pub struct SpillStats {
 pub struct SpilledFile {
     /// Content digest addressing the blob entry.
     pub key: BlobKey,
-    /// Wire length of the encoded tile (pre-compression) — equals the sum
-    /// of the file's block lengths, which is what conservation checks.
+    /// Wire length of the encoded tile — equals the sum of the file's
+    /// block lengths, which is what conservation checks.
     pub wire_len: u64,
 }
 
@@ -121,7 +117,6 @@ fn default_dir() -> PathBuf {
 #[derive(Debug)]
 pub struct SpillPlane {
     budget: u64,
-    compress: bool,
     blob: BlobStore,
     /// path → (recency sequence, charged decoded bytes).
     resident: HashMap<String, (u64, u64)>,
@@ -150,7 +145,6 @@ impl SpillPlane {
         let dir = config.dir.clone().unwrap_or_else(default_dir);
         Ok(SpillPlane {
             budget: config.budget_bytes,
-            compress: config.compress,
             blob: BlobStore::open(dir)?,
             resident: HashMap::new(),
             order: BTreeMap::new(),
@@ -165,11 +159,6 @@ impl SpillPlane {
             prefetched_files: 0,
             readback_bytes_avoided: 0,
         })
-    }
-
-    /// Whether payloads are compressed on the way to disk.
-    pub fn compress(&self) -> bool {
-        self.compress
     }
 
     /// The configured budget in bytes.

@@ -1125,46 +1125,80 @@ mod spill_plane_tests {
         );
     }
 
-    /// The uncompressed spill path is the cross-checked reference: same
-    /// values, same receipts, honest ratio of 1.
+    /// The only spill path stores encoded tiles verbatim. Dense, sparse
+    /// and all-zero tiles under a budget that spills every file come back
+    /// bitwise equal to the unbounded run, with identical receipts; and
+    /// identical zero tiles share one blob entry by content addressing
+    /// (the case a codec used to win).
     #[test]
-    fn uncompressed_path_is_reference_equivalent() {
-        let meta = MatrixMeta::new(16, 16, 8);
-        let compressed = store_with(55);
-        let raw = store_with(55);
-        compressed
-            .set_memory_budget(&SpillConfig {
-                budget_bytes: 600,
-                dir: None,
-                compress: true,
-            })
-            .unwrap();
-        raw.set_memory_budget(&SpillConfig {
-            budget_bytes: 600,
-            dir: None,
-            compress: false,
-        })
-        .unwrap();
-        let mc = fill(&compressed, "A", meta, 29);
-        let mr = fill(&raw, "A", meta, 29);
-        assert_eq!(mc.to_dense_vec().unwrap(), mr.to_dense_vec().unwrap());
-        for ((ti, tj), _) in mc.iter_tiles() {
-            let (tc, rc) = compressed.read_tile("A", ti, tj, None, false).unwrap();
-            let (tr, rr) = raw.read_tile("A", ti, tj, None, false).unwrap();
-            assert_eq!(rc, rr, "codec choice leaked into receipts");
-            assert_eq!(tc, tr, "codec choice changed values");
+    fn spill_round_trip_is_bitwise_for_every_tile_kind() {
+        let uncached = |seed| {
+            TileStore::with_cache_capacity(
+                Dfs::new(
+                    4,
+                    DfsConfig {
+                        replication: 2,
+                        block_size: 1 << 20,
+                        seed,
+                        racks: 1,
+                    },
+                ),
+                0, // no decoded-tile cache: every read goes to the DFS
+            )
+        };
+        let unbounded = uncached(55);
+        let tight = uncached(55);
+        tight.set_memory_budget(&SpillConfig::budgeted(1)).unwrap();
+        let meta = MatrixMeta::new(24, 24, 8); // 9 tiles per matrix
+        let matrices = [
+            ("Z", Generator::Zeros),
+            ("D", Generator::DenseGaussian { seed: 29 }),
+            (
+                "S",
+                Generator::SparseUniform {
+                    seed: 31,
+                    density: 0.3,
+                },
+            ),
+        ];
+        for (name, gen) in &matrices {
+            let m = LocalMatrix::generate(meta, gen);
+            for s in [&unbounded, &tight] {
+                s.register(name, meta).unwrap();
+            }
+            for ((ti, tj), tile) in m.iter_tiles() {
+                let writer = Some(NodeId(ti as u32 % 4));
+                let ru = unbounded.write_tile(name, ti, tj, tile, writer).unwrap();
+                let rt = tight.write_tile(name, ti, tj, tile, writer).unwrap();
+                assert_eq!(ru, rt, "{name} write receipts diverge at ({ti},{tj})");
+            }
+            if *name == "Z" {
+                let st = tight.dfs().spill_stats().unwrap();
+                assert_eq!(st.spilled_files, 9, "every zero tile is on disk");
+                assert_eq!(st.blob.live_entries, 1, "…as one blob entry: {st:?}");
+                assert_eq!(st.blob.dedup_hits, 8, "{st:?}");
+            }
         }
-        let sr = raw.dfs().spill_stats().unwrap();
-        assert!(sr.spilled_bytes_total > 0);
-        assert_eq!(
-            sr.blob.compression_ratio(),
-            1.0,
-            "raw path stores wire bytes verbatim"
-        );
-        // Gaussian tiles are honest work for the codec; zero tiles would
-        // compress, but either way values and receipts match the raw path.
-        let sc = compressed.dfs().spill_stats().unwrap();
-        assert!(sc.blob.compression_ratio() >= 1.0);
+        let st = tight.dfs().spill_stats().unwrap();
+        assert_eq!(st.spilled_files, 27, "a 1-byte budget spills everything");
+        assert_eq!(st.resident_bytes, 0);
+        assert_eq!(st.blob.compression_ratio(), 1.0, "stored verbatim");
+        for (name, _) in &matrices {
+            for ti in 0..3 {
+                for tj in 0..3 {
+                    let reader = Some(NodeId((ti + tj) as u32 % 4));
+                    let (tu, ru) = unbounded.read_tile(name, ti, tj, reader, false).unwrap();
+                    let (tt, rt) = tight.read_tile(name, ti, tj, reader, false).unwrap();
+                    assert_eq!(ru, rt, "{name} read receipts diverge at ({ti},{tj})");
+                    assert_eq!(tu.is_sparse(), tt.is_sparse(), "{name} representation");
+                    assert_eq!(encode_tile(&tu), encode_tile(&tt), "{name} ({ti},{tj})");
+                }
+            }
+        }
+        let st = tight.dfs().spill_stats().unwrap();
+        assert_eq!(st.readmissions, 27, "every read went through disk");
+        assert!(tight.dfs().spill_conserved());
+        assert!(tight.dfs().storage_accounting().is_conserved());
     }
 
     /// Phantom tiles are metadata-only and must never reach the blob

@@ -1,11 +1,11 @@
-//! Byte-level compression for the tile spill path.
+//! Byte-level LZSS compression of encoded tiles.
 //!
-//! A std-only LZSS variant sitting *behind* the
-//! [`crate::serialize::encode_tile`] / [`crate::serialize::decode_tile`]
-//! boundary: the spill plane compresses the encoded wire bytes of a tile
-//! before appending them to a blob segment and decompresses on read-back,
-//! so the codec never needs to know about tile structure and the wire
-//! format stays the single source of truth.
+//! A std-only LZSS variant that works on the bytes
+//! [`crate::serialize::encode_tile`] produces and gives them back for
+//! [`crate::serialize::decode_tile`], so the codec never needs to know
+//! about tile structure. It is a library module only: no runtime path
+//! calls it, because dense `f64` tiles measured 1.00x here at several ms
+//! of CPU per MiB, so the spill path stores encoded tiles verbatim.
 //!
 //! Format of a compressed stream (all little-endian):
 //!
@@ -18,10 +18,10 @@
 //!
 //! Matching is greedy over a 4-byte rolling hash with single-probe hash
 //! heads — O(n), deterministic, no allocation besides the output. On
-//! incompressible input the flag bits cost up to 12.5% growth, so the
-//! spill path stores whichever of `{raw, compressed}` is smaller (see
-//! [`maybe_compress`]); the identity path doubles as the cross-checked
-//! reference for the conformance tests.
+//! incompressible input the flag bits cost up to 12.5% growth, so
+//! [`maybe_compress`] keeps whichever of `{raw, compressed}` is smaller;
+//! the identity path doubles as the cross-checked reference for the
+//! conformance tests.
 
 use crate::error::{MatrixError, Result};
 

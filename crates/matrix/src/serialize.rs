@@ -13,10 +13,12 @@
 //! "data" through the DFS with realistic byte accounting coming from
 //! [`crate::Tile::stored_bytes`], while the physical buffer stays tiny.
 //!
-//! The encoder and decoder move the numeric payloads with slice-level
-//! copies (a little-endian in-memory `f64`/`u32` buffer *is* its wire form,
-//! so the copy is one `memcpy`, not a per-element loop). Big-endian hosts
-//! fall back to the element-wise path; both produce identical bytes. The
+//! The encoder writes into one exactly-sized `Vec<u8>` ([`encode_tile_vec`])
+//! and the decoder reads from a borrowed slice ([`decode_tile_slice`]);
+//! both move the numeric payloads with slice-level copies (a little-endian
+//! in-memory `f64`/`u32` buffer *is* its wire form, so the copy is one
+//! `memcpy`, not a per-element loop). Big-endian hosts fall back to the
+//! element-wise path; both produce identical bytes. The
 //! historical element-wise codec is kept as [`encode_tile_elementwise`] /
 //! [`decode_tile_elementwise`] so tests can assert byte equality.
 
@@ -46,7 +48,7 @@ pub fn encoded_len(tile: &Tile) -> u64 {
 }
 
 /// Appends `vals` in little-endian wire order with one slice copy.
-fn put_f64s(buf: &mut BytesMut, vals: &[f64]) {
+fn put_f64s(buf: &mut Vec<u8>, vals: &[f64]) {
     #[cfg(target_endian = "little")]
     {
         // SAFETY: an f64 slice is valid to view as initialized bytes; on a
@@ -61,7 +63,7 @@ fn put_f64s(buf: &mut BytesMut, vals: &[f64]) {
 }
 
 /// Appends `vals` in little-endian wire order with one slice copy.
-fn put_u32s(buf: &mut BytesMut, vals: &[u32]) {
+fn put_u32s(buf: &mut Vec<u8>, vals: &[u32]) {
     #[cfg(target_endian = "little")]
     {
         // SAFETY: as in `put_f64s`.
@@ -76,7 +78,7 @@ fn put_u32s(buf: &mut BytesMut, vals: &[u32]) {
 
 /// Reads `n` little-endian f64s with one copy into an aligned buffer.
 /// Caller must have checked `bytes.remaining() >= n * 8`.
-fn get_f64s(bytes: &mut Bytes, n: usize) -> Vec<f64> {
+fn get_f64s(bytes: &mut &[u8], n: usize) -> Vec<f64> {
     #[cfg(target_endian = "little")]
     {
         let mut out = vec![0.0f64; n];
@@ -100,7 +102,7 @@ fn get_f64s(bytes: &mut Bytes, n: usize) -> Vec<f64> {
 
 /// Reads `n` little-endian u32s with one copy into an aligned buffer.
 /// Caller must have checked `bytes.remaining() >= n * 4`.
-fn get_u32s(bytes: &mut Bytes, n: usize) -> Vec<u32> {
+fn get_u32s(bytes: &mut &[u8], n: usize) -> Vec<u32> {
     #[cfg(target_endian = "little")]
     {
         let mut out = vec![0u32; n];
@@ -123,7 +125,14 @@ fn get_u32s(bytes: &mut Bytes, n: usize) -> Vec<u32> {
 
 /// Serializes a tile to a byte buffer.
 pub fn encode_tile(tile: &Tile) -> Bytes {
-    let mut buf = BytesMut::with_capacity(encoded_len(tile) as usize);
+    Bytes::from(encode_tile_vec(tile))
+}
+
+/// Serializes a tile straight into one exactly-sized `Vec<u8>` — the
+/// spill path's encoder, which owns its buffer and never needs the shared
+/// [`Bytes`] handle (whose construction copies the payload again).
+pub fn encode_tile_vec(tile: &Tile) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(encoded_len(tile) as usize);
     buf.put_u32_le(MAGIC);
     match tile.payload() {
         TileData::Dense(d) => {
@@ -149,11 +158,17 @@ pub fn encode_tile(tile: &Tile) -> Bytes {
             buf.put_u64_le(*nnz);
         }
     }
-    buf.freeze()
+    buf
 }
 
 /// Deserializes a tile from bytes produced by [`encode_tile`].
-pub fn decode_tile(mut bytes: Bytes) -> Result<Tile> {
+pub fn decode_tile(bytes: Bytes) -> Result<Tile> {
+    decode_tile_slice(&bytes)
+}
+
+/// Deserializes a tile from a borrowed wire buffer (the spill path decodes
+/// straight from the buffer it read off disk).
+pub fn decode_tile_slice(mut bytes: &[u8]) -> Result<Tile> {
     if bytes.remaining() < 24 {
         return Err(MatrixError::Corrupt("buffer shorter than header".into()));
     }
@@ -166,11 +181,11 @@ pub fn decode_tile(mut bytes: Bytes) -> Result<Tile> {
     let cols = bytes.get_u64_le() as usize;
     match kind {
         0 => {
-            let n = rows * cols;
-            if bytes.remaining() < n * 8 {
+            // Widened so a corrupt header cannot overflow the size check.
+            if (bytes.remaining() as u128) < rows as u128 * cols as u128 * 8 {
                 return Err(MatrixError::Corrupt("dense payload truncated".into()));
             }
-            let data = get_f64s(&mut bytes, n);
+            let data = get_f64s(&mut bytes, rows * cols);
             Ok(Tile::dense(DenseTile::from_vec(rows, cols, data)))
         }
         1 => {
@@ -178,8 +193,7 @@ pub fn decode_tile(mut bytes: Bytes) -> Result<Tile> {
                 return Err(MatrixError::Corrupt("sparse header truncated".into()));
             }
             let nnz = bytes.get_u64_le() as usize;
-            let need = (rows + 1) * 4 + nnz * 4 + nnz * 8;
-            if bytes.remaining() < need {
+            if (bytes.remaining() as u128) < (rows as u128 + 1) * 4 + nnz as u128 * 12 {
                 return Err(MatrixError::Corrupt("sparse payload truncated".into()));
             }
             let row_ptr = get_u32s(&mut bytes, rows + 1);

@@ -203,14 +203,9 @@ pub fn run(req: &Request, threads: usize, shared_pool: bool) -> Result<RunOutcom
     let (compiled, descs) = compile_and_check(req)?;
     let cluster = provision(&req.inputs, &req.instance, req.nodes, req.slots)?;
     if req.memory_budget > 0 {
-        let config = cumulon_dfs::SpillConfig {
-            budget_bytes: req.memory_budget,
-            dir: None,
-            compress: true,
-        };
         cluster
             .store()
-            .set_memory_budget(&config)
+            .set_memory_budget(&cumulon_dfs::SpillConfig::budgeted(req.memory_budget))
             .map_err(CoreError::from)?;
     }
     let config = SchedulerConfig {
