@@ -30,8 +30,8 @@
 //!   reported 12.2 s of "overhead" on a 0.84 s run);
 //! * an out-of-core run (same Gram workload under a resident-tile budget
 //!   far below its working set) diverges bitwise from the unbounded run,
-//!   fails to actually spill, or exceeds [`MAX_SPILL_SLOWDOWN`]x the
-//!   unbounded wall time;
+//!   fails to actually spill, or costs more than [`MAX_SPILL_SLOWDOWN`]x
+//!   the unbounded wall in its best paired round;
 //! * the GEMM fan-out under [`FAN_SPILL_BUDGET`] diverges bitwise from
 //!   its unbounded run, fails to spill, or costs more than
 //!   [`MAX_FAN_SPILL_SLOWDOWN`]x the unbounded wall in its best paired
@@ -48,7 +48,7 @@ use cumulon::cluster::{
 };
 use cumulon::core::calibrate::{CostModel, OpCoefficients};
 use cumulon::core::{InputDesc, Optimizer, ProgramBuilder, RecoveryConfig};
-use cumulon::dfs::DfsConfig;
+use cumulon::dfs::{DfsConfig, SpillStats};
 use cumulon::matrix::gen::Generator;
 use cumulon::matrix::{DenseTile, LocalMatrix, MatrixMeta, SimdLevel};
 
@@ -88,10 +88,9 @@ const META: MatrixMeta = MatrixMeta {
 /// 36 output tiles of 512 KiB (~18 MB through the spill plane): 2 MiB
 /// holds four of them, 512 KiB exactly one — every write evicts.
 const SPILL_BUDGETS: [u64; 2] = [2 << 20, 512 << 10];
-/// Budgets for the spill-aware-scheduling gate, ~4x and ~16x below the
-/// fan workload's ~8 MiB working set (the product plus three consumer
-/// outputs of 2 MiB each).
-const PREFETCH_BUDGETS: [u64; 2] = [2 << 20, 512 << 10];
+/// Paired (unbounded, budgeted) rounds of every spill row; the gates read
+/// the best per-round ratio, as the e2e row does for seq/par.
+const SPILL_ROUNDS: usize = 3;
 /// A budgeted run pays host-side encode, digest and disk work the
 /// unbounded run skips; this bounds how much. Generous because CI walls
 /// are noisy and the runs are sub-second, but still low enough to catch a
@@ -106,9 +105,6 @@ const FAN_META: MatrixMeta = MatrixMeta {
     tile_size: 128,
 };
 const FAN_SPILL_BUDGET: u64 = 2 << 20;
-/// Paired (unbounded, budgeted) rounds of the fan row; the gate reads the
-/// best per-round ratio, as the e2e row does for seq/par.
-const FAN_SPILL_ROUNDS: usize = 3;
 /// Bound on the fan row's best paired budgeted/unbounded wall ratio. On
 /// a 2-core AVX-512 host, 8 runs of this row measured 3.5–4.3x (worst
 /// single round 5.5x); with an LZSS pass on every demotion the same row
@@ -458,7 +454,7 @@ fn e2e_smoke() {
 /// output tile back through the blob store, so the wall time prices the
 /// full evict/readmit round trip. Returns (wall seconds, fingerprint,
 /// spill counters).
-fn spill_once(budget: u64) -> (f64, String, Option<cumulon::dfs::SpillStats>) {
+fn spill_once(budget: u64) -> (f64, String, Option<SpillStats>) {
     set_default_threads(E2E_THREADS);
     let cluster = Cluster::provision_with(
         ClusterSpec::named("m1.large", 4, 2).unwrap(),
@@ -507,88 +503,171 @@ fn spill_once(budget: u64) -> (f64, String, Option<cumulon::dfs::SpillStats>) {
     (wall, fp, cluster.store().dfs().spill_stats())
 }
 
+/// [`SPILL_ROUNDS`] paired (unbounded, budgeted) runs of one spill row.
+struct PairedSpill {
+    /// Budgeted ÷ unbounded wall, one per round.
+    ratios: Vec<f64>,
+    unbounded_best: f64,
+    spill_best: f64,
+    /// Every budgeted run matched its round's unbounded fingerprint.
+    identical: bool,
+    /// Spill counters of the last budgeted run.
+    stats: SpillStats,
+}
+
+impl PairedSpill {
+    /// Runs `once(0)` then `once(budget)` per round, so an ambient
+    /// contention window slows both sides of a round's ratio.
+    fn measure(budget: u64, once: fn(u64) -> (f64, String, Option<SpillStats>)) -> Self {
+        let mut ratios = Vec::with_capacity(SPILL_ROUNDS);
+        let (mut unbounded_best, mut spill_best) = (f64::INFINITY, f64::INFINITY);
+        let mut identical = true;
+        let mut last = None;
+        for _ in 0..SPILL_ROUNDS {
+            let (base_s, base_fp, none) = once(0);
+            assert!(none.is_none(), "no spill plane expected without a budget");
+            let (spill_s, fp, stats) = once(budget);
+            identical &= fp == base_fp;
+            ratios.push(spill_s / base_s);
+            unbounded_best = unbounded_best.min(base_s);
+            spill_best = spill_best.min(spill_s);
+            last = stats;
+        }
+        PairedSpill {
+            ratios,
+            unbounded_best,
+            spill_best,
+            identical,
+            stats: last.expect("budgeted run installs a spill plane"),
+        }
+    }
+
+    /// The gated ratio: the best round.
+    fn slowdown(&self) -> f64 {
+        self.ratios.iter().copied().fold(f64::INFINITY, f64::min)
+    }
+
+    fn worst(&self) -> f64 {
+        self.ratios.iter().copied().fold(0.0, f64::max)
+    }
+
+    /// One summary line for `label`.
+    fn print(&self, label: &str, bound: f64) {
+        println!(
+            "{label}: {:.2}s vs unbounded {:.2}s, best paired ratio {:.2}x (worst {:.2}x, \
+             bound {bound}x), {} eviction(s), {} readmission(s), {} B spilled, \
+             {} B read back, bitwise identical: {}",
+            self.spill_best,
+            self.unbounded_best,
+            self.slowdown(),
+            self.worst(),
+            self.stats.evictions,
+            self.stats.readmissions,
+            self.stats.spilled_bytes_total,
+            self.stats.readback_bytes_total,
+            self.identical,
+        );
+    }
+
+    /// The JSON fields every spill row shares.
+    fn json_fields(&self, budget: u64, bound: f64) -> String {
+        let ratios: Vec<String> = self.ratios.iter().map(|r| format!("{r:.3}")).collect();
+        format!(
+            "\"budget_bytes\":{budget},\"rounds\":{SPILL_ROUNDS},\
+             \"unbounded_seconds\":{:.4},\"spill_seconds\":{:.4},\
+             \"paired_ratios\":[{}],\"slowdown\":{:.3},\"bound\":{bound},\
+             \"bitwise_identical\":{},\"evictions\":{},\"readmissions\":{},\
+             \"spilled_bytes\":{},\"readback_bytes\":{},\"blob_segments\":{}",
+            self.unbounded_best,
+            self.spill_best,
+            ratios.join(","),
+            self.slowdown(),
+            self.identical,
+            self.stats.evictions,
+            self.stats.readmissions,
+            self.stats.spilled_bytes_total,
+            self.stats.readback_bytes_total,
+            self.stats.blob.segments,
+        )
+    }
+
+    /// Applies the row's gates: bitwise identity, non-vacuity (a zero
+    /// eviction counter would make the row vacuous) and the wall bound on
+    /// the best round. Returns whether any failed.
+    fn gate(&self, label: &str, bound: f64) -> bool {
+        let mut failed = false;
+        if !self.identical {
+            eprintln!("GATE FAIL: {label} diverged from its unbounded run");
+            failed = true;
+        }
+        if self.stats.evictions == 0 || self.stats.spilled_bytes_total == 0 {
+            eprintln!(
+                "GATE FAIL: {label} never spilled ({} evictions, {} B) — the gate is vacuous",
+                self.stats.evictions, self.stats.spilled_bytes_total
+            );
+            failed = true;
+        }
+        if self.slowdown() > bound {
+            eprintln!(
+                "GATE FAIL: {label} ran {:.2}x the unbounded wall in its best paired \
+                 round (bound {bound}x)",
+                self.slowdown()
+            );
+            failed = true;
+        }
+        failed
+    }
+}
+
 /// Out-of-core gate: the same Gram workload under budgets ~9x and ~36x
 /// below its working set must reproduce the unbounded run bitwise (the
 /// spill plane costs zero *simulated* time by construction), must
-/// actually evict (a zero counter would make the gate vacuous), and may
-/// not blow the wall-clock slowdown bound.
+/// actually evict, and may not exceed [`MAX_SPILL_SLOWDOWN`] in its best
+/// paired round. The GEMM fan-out row follows under
+/// [`MAX_FAN_SPILL_SLOWDOWN`].
 fn spill_smoke() {
-    let (base_s, base_fp, base_stats) = spill_once(0);
-    assert!(
-        base_stats.is_none(),
-        "no spill plane expected without a budget"
-    );
-    let mut rows = String::new();
+    let mut rows = Vec::with_capacity(SPILL_BUDGETS.len());
     let mut failed = false;
-    for (i, budget) in SPILL_BUDGETS.into_iter().enumerate() {
-        let (wall, fp, stats) = spill_once(budget);
-        let stats = stats.expect("budgeted run installs a spill plane");
-        let identical = fp == base_fp;
-        let slowdown = wall / base_s;
-        println!(
-            "spill budget {} KiB: {wall:.2}s ({slowdown:.2}x unbounded {base_s:.2}s), \
-             {} eviction(s), {} readmission(s), {} B spilled, \
-             {} B read back, bitwise identical: {identical}",
-            budget >> 10,
-            stats.evictions,
-            stats.readmissions,
-            stats.spilled_bytes_total,
-            stats.readback_bytes_total,
-        );
-        if i > 0 {
-            rows.push(',');
-        }
-        let _ = write!(
-            rows,
-            "{{\"budget_bytes\":{budget},\"wall_seconds\":{wall:.4},\
-             \"slowdown\":{slowdown:.3},\"bitwise_identical\":{identical},\
-             \"evictions\":{},\"readmissions\":{},\"spilled_bytes\":{},\
-             \"readback_bytes\":{},\"readback_bytes_avoided\":{},\
-             \"blob_segments\":{}}}",
-            stats.evictions,
-            stats.readmissions,
-            stats.spilled_bytes_total,
-            stats.readback_bytes_total,
-            stats.readback_bytes_avoided,
-            stats.blob.segments,
-        );
-        if !identical {
-            eprintln!("GATE FAIL: {budget} B budget run diverged from unbounded run");
-            failed = true;
-        }
-        if stats.evictions == 0 || stats.spilled_bytes_total == 0 {
-            eprintln!(
-                "GATE FAIL: {budget} B budget never spilled \
-                 ({} evictions, {} B) — the gate is vacuous",
-                stats.evictions, stats.spilled_bytes_total
-            );
-            failed = true;
-        }
-        if slowdown > MAX_SPILL_SLOWDOWN {
-            eprintln!(
-                "GATE FAIL: {budget} B budget ran {slowdown:.2}x the unbounded wall \
-                 (bound {MAX_SPILL_SLOWDOWN}x)"
-            );
-            failed = true;
-        }
+    for budget in SPILL_BUDGETS {
+        let label = format!("spill gram budget {} KiB", budget >> 10);
+        let row = PairedSpill::measure(budget, spill_once);
+        row.print(&label, MAX_SPILL_SLOWDOWN);
+        rows.push(format!(
+            "{{{}}}",
+            row.json_fields(budget, MAX_SPILL_SLOWDOWN)
+        ));
+        failed |= row.gate(&label, MAX_SPILL_SLOWDOWN);
     }
-    let (fan_json, fan_failed) = fan_spill_smoke();
-    let (prefetch_json, prefetch_failed) = prefetch_smoke();
+    let label = format!(
+        "spill fan {}^2 t{} budget {} KiB",
+        FAN_META.rows,
+        FAN_META.tile_size,
+        FAN_SPILL_BUDGET >> 10
+    );
+    // Spill wall-time gate on the GEMM fan-out: its budgeted runs move
+    // six matrices through the plane, so it bounds the readback path.
+    let fan = PairedSpill::measure(FAN_SPILL_BUDGET, fan_spill_once);
+    fan.print(&label, MAX_FAN_SPILL_SLOWDOWN);
+    failed |= fan.gate(&label, MAX_FAN_SPILL_SLOWDOWN);
     let json = format!(
         "{{\"experiment\":\"spill_gram_1536\",\"threads\":{E2E_THREADS},\
-         \"unbounded_seconds\":{base_s:.4},\"runs\":[{rows}],\
-         \"fan\":{fan_json},\"prefetch\":{prefetch_json}}}"
+         \"runs\":[{}],\"fan\":{{\"experiment\":\"spill_fan_{}\",\
+         \"threads\":{E2E_THREADS},{}}}}}",
+        rows.join(","),
+        FAN_META.rows,
+        fan.json_fields(FAN_SPILL_BUDGET, MAX_FAN_SPILL_SLOWDOWN),
     );
     std::fs::write("BENCH_spill.json", json).expect("write BENCH_spill.json");
-    if failed || fan_failed || prefetch_failed {
+    if failed {
         std::process::exit(1);
     }
 }
 
 /// Provisions a cluster under a resident-tile budget (0 = unbounded) and
-/// runs the GEMM fan-out on it: C = AB feeding P = C + A, Q = C - B and
-/// R = 0.5C, in Real mode at `E2E_THREADS` threads.
-fn fan_run(meta: MatrixMeta, budget: u64, config: SchedulerConfig) -> (Cluster, RunReport) {
+/// runs the GEMM fan-out on it at [`FAN_META`]: C = AB feeding P = C + A,
+/// Q = C - B and R = 0.5C, in Real mode at `E2E_THREADS` threads.
+fn fan_run(budget: u64) -> (Cluster, RunReport) {
+    let meta = FAN_META;
     set_default_threads(E2E_THREADS);
     let cluster = Cluster::provision_with(
         ClusterSpec::named("m1.large", 4, 2).unwrap(),
@@ -640,7 +719,7 @@ fn fan_run(meta: MatrixMeta, budget: u64, config: SchedulerConfig) -> (Cluster, 
             &inputs,
             "fan",
             ExecMode::Real,
-            config,
+            SchedulerConfig::default().with_threads(E2E_THREADS),
             &FailurePlan::default(),
             RecoveryConfig::default(),
             &Trace::disabled(),
@@ -653,10 +732,9 @@ fn fan_run(meta: MatrixMeta, budget: u64, config: SchedulerConfig) -> (Cluster, 
 /// from execution through the readback of all three outputs (which drags
 /// every spilled output tile back through the blob store). Returns (wall
 /// seconds, fingerprint over the outputs, spill counters).
-fn fan_spill_once(budget: u64) -> (f64, String, Option<cumulon::dfs::SpillStats>) {
-    let config = SchedulerConfig::default().with_threads(E2E_THREADS);
+fn fan_spill_once(budget: u64) -> (f64, String, Option<SpillStats>) {
     let t0 = Instant::now();
-    let (cluster, report) = fan_run(FAN_META, budget, config);
+    let (cluster, report) = fan_run(budget);
     let outputs: Vec<LocalMatrix> = ["P", "Q", "R"]
         .iter()
         .map(|name| cluster.store().get_local(name).unwrap())
@@ -664,175 +742,4 @@ fn fan_spill_once(budget: u64) -> (f64, String, Option<cumulon::dfs::SpillStats>
     let wall = t0.elapsed().as_secs_f64();
     let fp = fingerprint(&report, &outputs);
     (wall, fp, cluster.store().dfs().spill_stats())
-}
-
-/// Spill wall-time gate on the GEMM fan-out: [`FAN_SPILL_ROUNDS`] paired
-/// (unbounded, budgeted) rounds, so an ambient contention window slows
-/// both sides of a round's ratio. Every budgeted run must match the
-/// unbounded fingerprint bitwise and actually spill; the best per-round
-/// ratio may not exceed [`MAX_FAN_SPILL_SLOWDOWN`].
-fn fan_spill_smoke() -> (String, bool) {
-    let mut ratios = Vec::with_capacity(FAN_SPILL_ROUNDS);
-    let (mut base_best, mut spill_best) = (f64::INFINITY, f64::INFINITY);
-    let mut identical = true;
-    let mut last = None;
-    for _ in 0..FAN_SPILL_ROUNDS {
-        let (base_s, base_fp, none) = fan_spill_once(0);
-        assert!(none.is_none(), "no spill plane expected without a budget");
-        let (spill_s, fp, stats) = fan_spill_once(FAN_SPILL_BUDGET);
-        identical &= fp == base_fp;
-        ratios.push(spill_s / base_s);
-        base_best = base_best.min(base_s);
-        spill_best = spill_best.min(spill_s);
-        last = stats;
-    }
-    let stats = last.expect("budgeted run installs a spill plane");
-    let slowdown = ratios.iter().copied().fold(f64::INFINITY, f64::min);
-    let worst = ratios.iter().copied().fold(0.0, f64::max);
-    println!(
-        "spill fan {}^2 t{} budget {} KiB: {spill_best:.2}s vs unbounded {base_best:.2}s, \
-         best paired ratio {slowdown:.2}x (worst {worst:.2}x, bound {MAX_FAN_SPILL_SLOWDOWN}x), \
-         {} eviction(s), {} readmission(s), {} B spilled, {} B read back, \
-         bitwise identical: {identical}",
-        FAN_META.rows,
-        FAN_META.tile_size,
-        FAN_SPILL_BUDGET >> 10,
-        stats.evictions,
-        stats.readmissions,
-        stats.spilled_bytes_total,
-        stats.readback_bytes_total,
-    );
-    let mut failed = false;
-    if !identical {
-        eprintln!("GATE FAIL: fan spill run diverged from its unbounded run");
-        failed = true;
-    }
-    if stats.evictions == 0 || stats.spilled_bytes_total == 0 {
-        eprintln!("GATE FAIL: fan spill run never spilled — the gate is vacuous");
-        failed = true;
-    }
-    if slowdown > MAX_FAN_SPILL_SLOWDOWN {
-        eprintln!(
-            "GATE FAIL: fan spill ran {slowdown:.2}x the unbounded wall in its best \
-             paired round (bound {MAX_FAN_SPILL_SLOWDOWN}x)"
-        );
-        failed = true;
-    }
-    let ratios_json: Vec<String> = ratios.iter().map(|r| format!("{r:.3}")).collect();
-    (
-        format!(
-            "{{\"experiment\":\"spill_fan_{}\",\"threads\":{E2E_THREADS},\
-             \"budget_bytes\":{FAN_SPILL_BUDGET},\"rounds\":{FAN_SPILL_ROUNDS},\
-             \"unbounded_seconds\":{base_best:.4},\"spill_seconds\":{spill_best:.4},\
-             \"paired_ratios\":[{}],\"slowdown\":{slowdown:.3},\
-             \"bound\":{MAX_FAN_SPILL_SLOWDOWN},\"bitwise_identical\":{identical},\
-             \"evictions\":{},\"readmissions\":{},\"spilled_bytes\":{},\
-             \"readback_bytes\":{}}}",
-            FAN_META.rows,
-            ratios_json.join(","),
-            stats.evictions,
-            stats.readmissions,
-            stats.spilled_bytes_total,
-            stats.readback_bytes_total,
-        ),
-        failed,
-    )
-}
-
-/// One fan-out run (GEMM feeding three element-wise consumers of the
-/// product) at `E2E_THREADS` threads under a resident-tile budget, with
-/// spill-aware scheduling at `depth` (0 = off). Spill counters are
-/// snapshotted *before* the result readback: `get_local` drags spilled
-/// tiles back synchronously no matter what the scheduler did, so only
-/// in-run traffic is comparable. The fingerprint covers the readback
-/// too (re-admission correctness).
-fn prefetch_once(budget: u64, depth: usize) -> (String, cumulon::dfs::SpillStats) {
-    let meta = MatrixMeta {
-        rows: 512,
-        cols: 512,
-        tile_size: 64,
-    };
-    let mut config = SchedulerConfig::default().with_threads(E2E_THREADS);
-    if depth > 0 {
-        config = config.with_prefetch(depth);
-    }
-    let (cluster, report) = fan_run(meta, budget, config);
-    let stats = cluster
-        .store()
-        .dfs()
-        .spill_stats()
-        .expect("budgeted run installs a spill plane");
-    let out = cluster.store().get_local("P").unwrap();
-    let fp = fingerprint(&report, std::slice::from_ref(&out));
-    (fp, stats)
-}
-
-/// Spill-aware scheduling gate: the fan workload with prefetch on must
-/// reproduce the prefetch-off run bitwise, must actually overlap
-/// readbacks (zero avoided bytes would make the gate vacuous), and at
-/// the friendlier budget must cut synchronous readbacks by >= 30%. The
-/// tighter budget is report-only: with a resident set this small the
-/// prefetcher's byte cap throttles it to a couple of tiles per fill,
-/// and how much that saves is workload noise, not a commitment.
-fn prefetch_smoke() -> (String, bool) {
-    const DEPTH: usize = 16;
-    const MIN_REDUCTION: f64 = 0.30;
-    let mut rows = String::new();
-    let mut failed = false;
-    for (i, budget) in PREFETCH_BUDGETS.into_iter().enumerate() {
-        let (fp_off, off) = prefetch_once(budget, 0);
-        let (fp_on, on) = prefetch_once(budget, DEPTH);
-        let identical = fp_on == fp_off;
-        let sync_on = on.readback_bytes_total - on.readback_bytes_avoided;
-        let reduction = 1.0 - sync_on as f64 / off.readback_bytes_total.max(1) as f64;
-        println!(
-            "prefetch budget {} KiB (depth {DEPTH}): {} tile(s) readmitted ahead of demand, \
-             {} B sync readback vs {} B without prefetch ({:.0}% reduction), \
-             bitwise identical: {identical}",
-            budget >> 10,
-            on.prefetched_files,
-            sync_on,
-            off.readback_bytes_total,
-            100.0 * reduction,
-        );
-        if i > 0 {
-            rows.push(',');
-        }
-        let _ = write!(
-            rows,
-            "{{\"budget_bytes\":{budget},\"bitwise_identical\":{identical},\
-             \"prefetched_files\":{},\"readback_bytes_avoided\":{},\
-             \"sync_readback_bytes\":{sync_on},\"readback_bytes_off\":{},\
-             \"sync_reduction\":{reduction:.4}}}",
-            on.prefetched_files, on.readback_bytes_avoided, off.readback_bytes_total,
-        );
-        if !identical {
-            eprintln!("GATE FAIL: {budget} B budget prefetch run diverged from prefetch-off run");
-            failed = true;
-        }
-        if on.prefetched_files == 0 || on.readback_bytes_avoided == 0 {
-            eprintln!(
-                "GATE FAIL: {budget} B budget never prefetched \
-                 ({} files, {} B avoided) — the gate is vacuous",
-                on.prefetched_files, on.readback_bytes_avoided
-            );
-            failed = true;
-        }
-        if i == 0 && reduction < MIN_REDUCTION {
-            eprintln!(
-                "GATE FAIL: {budget} B budget cut sync readbacks {:.0}% \
-                 (committed floor {:.0}%)",
-                100.0 * reduction,
-                100.0 * MIN_REDUCTION
-            );
-            failed = true;
-        }
-    }
-    (
-        format!(
-            "{{\"experiment\":\"prefetch_fan_512\",\"threads\":{E2E_THREADS},\
-             \"depth\":{DEPTH},\"runs\":[{rows}]}}"
-        ),
-        failed,
-    )
 }

@@ -70,7 +70,7 @@ fn main() {
                 Some(s) => out.push(s),
                 None => {
                     eprintln!(
-                        "unknown experiment '{id}' (valid: e1..e22, t1..t4, all; add --json for machine-readable output)"
+                        "unknown experiment '{id}' (valid: e1..e20, t1..t4, all; add --json for machine-readable output)"
                     );
                     std::process::exit(2);
                 }

@@ -1564,142 +1564,6 @@ pub fn e20() -> Series {
 }
 
 // ---------------------------------------------------------------------------
-// E22: spill-aware scheduling with tile prefetch
-// ---------------------------------------------------------------------------
-
-/// E22 — spill-aware scheduling: out-of-core two-step pipelines (a GEMM
-/// feeding a Gram, and a GEMM feeding a second GEMM) whose intermediate
-/// lives in the DFS tile plane, with the scheduler's residency-preferred
-/// wave resolution and frontier tile prefetch switched on. The on arm
-/// must reproduce the off arm's fingerprint and output bits exactly
-/// (scheduling never moves simulated time — the
-/// `spill-schedule-transparency` invariant) while converting synchronous
-/// demand readbacks into overlapped prefetched ones. Spill stats are
-/// sampled *before* the final result readback, so the table reports the
-/// traffic the scheduler can actually influence; the reduction column is
-/// the synchronous-readback cut the policy buys.
-pub fn e22() -> Series {
-    use cumulon::cluster::{FailurePlan, SchedulerConfig, Trace};
-    use cumulon::core::RecoveryConfig;
-    use cumulon::dfs::{SpillConfig, SpillStats};
-
-    let mut s = Series::new(
-        "E22",
-        "spill-aware scheduling: prefetch vs demand readbacks at ws/budget 10x-100x (real run)",
-        &[
-            "workload",
-            "budget (KiB)",
-            "ws/budget",
-            "readback off (MB)",
-            "sync on (MB)",
-            "prefetched",
-            "sync reduction",
-            "identical t1/tN",
-        ],
-    );
-    let n_threads = std::thread::available_parallelism().map_or(2, |n| n.get().clamp(2, 4));
-    let run =
-        |wl: usize, threads: usize, budget: u64, depth: usize| -> (String, Option<SpillStats>) {
-            let meta = MatrixMeta::new(512, 512, 64);
-            let cluster =
-                Cluster::provision(ClusterSpec::named("m1.large", 4, 2).unwrap()).unwrap();
-            if budget > 0 {
-                cluster
-                    .store()
-                    .set_memory_budget(&SpillConfig::budgeted(budget))
-                    .unwrap();
-            }
-            let mut pb = ProgramBuilder::new();
-            let mut inputs = BTreeMap::new();
-            for (name, seed) in [("A", 3), ("B", 5)] {
-                cluster
-                    .store()
-                    .register_generated(name, meta, Generator::DenseGaussian { seed })
-                    .unwrap();
-                inputs.insert(name.to_string(), InputDesc::dense(meta).generated());
-            }
-            let a = pb.input("A");
-            let b = pb.input("B");
-            let c = pb.mul(a, b);
-            // A GEMM followed by a fan of three element-wise consumers of C.
-            // Each consumer is its own fused job whose tasks read one C tile
-            // per output tile — the shape the boundary prefetch serves: the
-            // producing multiply churns C through the budget, so by the time
-            // a consumer wave resolves, its read frontier sits in the spill
-            // plane. wl 1 reads C transposed (column-order readbacks).
-            let src = if wl == 0 { c } else { pb.transpose(c) };
-            let p = pb.add(src, a);
-            pb.output("P", p);
-            let q = pb.sub(src, b);
-            pb.output("Q", q);
-            let r = pb.scale(src, 0.5);
-            pb.output("R", r);
-            let output = "P";
-            let program = pb.build();
-            let mut config = SchedulerConfig::default().with_threads(threads);
-            if depth > 0 {
-                config = config.with_prefetch(depth);
-            }
-            let report = optimizer()
-                .execute_on_traced(
-                    &cluster,
-                    &program,
-                    &inputs,
-                    "e22",
-                    ExecMode::Real,
-                    config,
-                    &FailurePlan::default(),
-                    RecoveryConfig::default(),
-                    &Trace::disabled(),
-                )
-                .unwrap();
-            // In-run traffic only: the result readback below drags every
-            // spilled output tile back synchronously no matter how the
-            // scheduler behaved, so it stays out of the comparison (but
-            // inside the fingerprint, covering re-admission correctness).
-            let stats = cluster.store().dfs().spill_stats();
-            let out = cluster.store().get_local(output).unwrap();
-            let fp = format!(
-                "{}out {:016x}",
-                report.fingerprint(),
-                out.frob_norm().to_bits()
-            );
-            (fp, stats)
-        };
-    // One wave is 8 slots (4 nodes x 2); a 16-tile frontier covers a
-    // wave's band reads with headroom for the next wave.
-    const DEPTH: usize = 16;
-    for (wl, name) in [(0, "gemm fan-3 512^2 t64"), (1, "gemm fan-3 C' 512^2 t64")] {
-        let (probe_fp, probe) = run(wl, 1, u64::MAX, 0);
-        let ws = probe.expect("plane installed").resident_bytes;
-        for budget in [ws / 10, ws / 100] {
-            let (fp_off, st_off) = run(wl, 1, budget, 0);
-            let (fp_on, st_on) = run(wl, 1, budget, DEPTH);
-            let (fp_tn, _) = run(wl, n_threads, budget, DEPTH);
-            let off = st_off.expect("budgeted run installs a spill plane");
-            let on = st_on.expect("budgeted run installs a spill plane");
-            let sync_on = on.readback_bytes_total - on.readback_bytes_avoided;
-            let reduction = 1.0 - sync_on as f64 / off.readback_bytes_total.max(1) as f64;
-            s.push(vec![
-                name.to_string(),
-                format!("{}", budget >> 10),
-                format!("{:.0}x", ws as f64 / budget.max(1) as f64),
-                format!("{:.1}", off.readback_bytes_total as f64 / 1e6),
-                format!("{:.1}", sync_on as f64 / 1e6),
-                on.prefetched_files.to_string(),
-                format!("{:.0}%", 100.0 * reduction),
-                format!(
-                    "{}/{}",
-                    fp_on == fp_off && probe_fp == fp_off,
-                    fp_tn == fp_off
-                ),
-            ]);
-        }
-    }
-    s
-}
-
-// ---------------------------------------------------------------------------
 // Tables
 // ---------------------------------------------------------------------------
 
@@ -1911,7 +1775,6 @@ pub fn all() -> Vec<Series> {
         e18(),
         e19(),
         e20(),
-        e22(),
         t1(),
         t2(),
         t3(),
@@ -1942,7 +1805,6 @@ pub fn by_id(id: &str) -> Option<Series> {
         "e18" => Some(e18()),
         "e19" => Some(e19()),
         "e20" => Some(e20()),
-        "e22" => Some(e22()),
         "t1" => Some(t1()),
         "t2" => Some(t2()),
         "t3" => Some(t3()),
@@ -2047,34 +1909,6 @@ mod tests {
             assert!(evictions > 0, "budgeted run never evicted: {row:?}");
             let spilled: f64 = row[5].parse().unwrap();
             assert!(spilled > 0.0, "no bytes spilled: {row:?}");
-        }
-    }
-
-    /// E22's gate: spill-aware scheduling must stay bitwise-transparent
-    /// at both thread counts, must actually prefetch, and at the milder
-    /// ws/budget ~10x point must cut synchronous readback bytes by at
-    /// least 30% against the spill-aware-off arm.
-    #[test]
-    fn e22_prefetch_cuts_sync_readbacks_transparently() {
-        let s = e22();
-        assert_eq!(s.rows.len(), 4, "{s:?}");
-        for row in &s.rows {
-            assert_eq!(row[7], "true/true", "prefetch not transparent: {row:?}");
-            let prefetched: u64 = row[5].parse().unwrap();
-            assert!(prefetched > 0, "frontier prefetch never fired: {row:?}");
-            let reduction: f64 = row[6].trim_end_matches('%').parse().unwrap();
-            let ratio: f64 = row[2].trim_end_matches('x').parse().unwrap();
-            if ratio <= 20.0 {
-                assert!(
-                    reduction >= 30.0,
-                    "sync readbacks must drop >= 30% at ws/budget ~10x: {row:?}"
-                );
-            } else {
-                assert!(
-                    reduction > 0.0,
-                    "sync readbacks must still drop under heavier pressure: {row:?}"
-                );
-            }
         }
     }
 

@@ -58,12 +58,6 @@
 //!   bytes ([`cumulon_dfs::Dfs::spill_conserved`]), and the budget
 //!   demonstrably evicted tiles (a zero eviction counter would make the
 //!   check vacuous).
-//! * `spill-schedule-transparency` — spill-aware wave resolution plus
-//!   frontier prefetch ([`SchedulerConfig::with_prefetch`]) at the same
-//!   tight budget reproduces the spill-aware-off arm's fingerprint and
-//!   output bits exactly; the single-threaded arm also demands that
-//!   prefetch demonstrably readmitted tiles (zero prefetches would make
-//!   the check vacuous).
 //! * `serve-isolation` — N concurrent tenants racing the same program
 //!   through the multi-tenant service (admission, quotas, the bounded
 //!   priority queue, the process-wide shared speculation pool) each get
@@ -126,25 +120,9 @@ pub fn run_checks(opts: &CheckOptions) -> Result<CheckReport> {
     check_search_grid(&mut report);
     check_kernel_conformance(&mut report);
     check_serve_isolation(opts, &mut report);
-    let mut prefetched_total = 0u64;
     for case in suite() {
-        prefetched_total += check_case(&case, opts, &mut report);
+        check_case(&case, opts, &mut report);
     }
-    // Non-vacuity for spill-aware scheduling is a *suite* property, not a
-    // per-case one: workloads whose eviction churn is entirely intra-wave
-    // (output writes evicting the very inputs the same wave still reads)
-    // legitimately present an empty frontier at every wave boundary, so a
-    // wave-boundary prefetch correctly stages nothing there. What must
-    // never happen is the machinery staying idle across the whole suite.
-    report.record(
-        "spill-schedule-transparency",
-        "suite aggregate".to_string(),
-        prefetched_total > 0,
-        format!(
-            "{prefetched_total} tile(s) prefetched across all cases \
-             (zero suite-wide would mean the frontier never fired)"
-        ),
-    );
     Ok(report)
 }
 
@@ -343,17 +321,6 @@ struct RunArtifacts {
 
 /// Executes one case at one lattice point on a fresh cluster.
 fn run_case(case: &Case, point: LatticePoint, failures: &FailurePlan) -> Result<RunArtifacts> {
-    run_case_prefetched(case, point, failures, 0)
-}
-
-/// [`run_case`] with spill-aware wave resolution and the given prefetch
-/// depth when `prefetch > 0` (the `spill-schedule-transparency` arm).
-fn run_case_prefetched(
-    case: &Case,
-    point: LatticePoint,
-    failures: &FailurePlan,
-    prefetch: usize,
-) -> Result<RunArtifacts> {
     let mut cluster = Cluster::provision(spec()).map_err(CoreError::from)?;
     cluster.set_billing(point.billing);
     cluster
@@ -367,10 +334,7 @@ fn run_case_prefetched(
     }
     case.workload.setup(cluster.store())?;
     let opt = optimizer();
-    let mut config = SchedulerConfig::default().with_threads(point.threads);
-    if prefetch > 0 {
-        config = config.with_prefetch(prefetch);
-    }
+    let config = SchedulerConfig::default().with_threads(point.threads);
     let mut fingerprint = String::new();
     let mut reports = Vec::new();
     let mut traces = Vec::new();
@@ -436,9 +400,7 @@ fn run_case_prefetched(
 // Per-case checks
 // ---------------------------------------------------------------------------
 
-/// Returns the number of tiles the spill-schedule-transparency arms
-/// prefetched, so the caller can assert suite-wide non-vacuity.
-fn check_case(case: &Case, opts: &CheckOptions, report: &mut CheckReport) -> u64 {
+fn check_case(case: &Case, opts: &CheckOptions, report: &mut CheckReport) {
     let no_faults = FailurePlan::default();
     let base_label = BASELINE.label(case.name);
     let base = match run_case(case, BASELINE, &no_faults) {
@@ -450,7 +412,7 @@ fn check_case(case: &Case, opts: &CheckOptions, report: &mut CheckReport) -> u64
                 false,
                 format!("baseline run failed: {e}"),
             );
-            return 0;
+            return;
         }
     };
     per_run_invariants(case, BASELINE, &base, report);
@@ -506,7 +468,6 @@ fn check_case(case: &Case, opts: &CheckOptions, report: &mut CheckReport) -> u64
     check_recovery_idempotence(case, &base, &base_label, report);
     check_revocation_survivability(case, opts, &base, &base_label, report);
     check_spill_transparency(case, opts, &base, &base_label, report);
-    check_spill_schedule_transparency(case, opts, report)
 }
 
 /// Invariants every run must satisfy regardless of configuration:
@@ -854,93 +815,6 @@ fn check_spill_transparency(
             ),
         }
     }
-}
-
-/// Spill-*aware* scheduling must be pure policy on top of the spill
-/// plane: at the same tight budget, a run with spill-aware wave
-/// resolution and frontier prefetch on must reproduce the off arm's
-/// fingerprint and output bits exactly — same assignments, receipts,
-/// placement draws and simulated time — while the spill ledger still
-/// conserves and eviction churn still happens. Only the host-side
-/// resolve order and the readback traffic shape may differ.
-///
-/// Returns the total tiles prefetched across arms; whether the frontier
-/// ever fired is asserted suite-wide by the caller, because a case whose
-/// churn is entirely intra-wave presents an empty frontier at every wave
-/// boundary and correctly prefetches nothing.
-fn check_spill_schedule_transparency(
-    case: &Case,
-    opts: &CheckOptions,
-    report: &mut CheckReport,
-) -> u64 {
-    const TIGHT: u64 = 512;
-    const DEPTH: usize = 4;
-    let n = threads_n();
-    let mut prefetched_total = 0u64;
-    let threads: &[usize] = if opts.quick { &[1] } else { &[1, 0] };
-    for &t in threads {
-        let point = LatticePoint {
-            threads: if t == 0 { n } else { t },
-            memory_budget: TIGHT,
-            ..BASELINE
-        };
-        let label = point.label(case.name);
-        let off = match run_case(case, point, &FailurePlan::default()) {
-            Ok(a) => a,
-            Err(e) => {
-                report.record(
-                    "spill-schedule-transparency",
-                    label,
-                    false,
-                    format!("budgeted off-arm run failed: {e}"),
-                );
-                continue;
-            }
-        };
-        match run_case_prefetched(case, point, &FailurePlan::default(), DEPTH) {
-            Ok(art) => {
-                per_run_invariants(case, point, &art, report);
-                let identical =
-                    art.fingerprint == off.fingerprint && art.output_bits == off.output_bits;
-                let evictions = art.spill.map_or(0, |s| s.evictions);
-                let prefetched = art.spill.map_or(0, |s| s.prefetched_files);
-                let avoided = art.spill.map_or(0, |s| s.readback_bytes_avoided);
-                prefetched_total += prefetched;
-                let ok = identical && art.spill_conserved && evictions > 0;
-                report.record(
-                    "spill-schedule-transparency",
-                    label,
-                    ok,
-                    if ok {
-                        format!(
-                            "{TIGHT} B budget, depth {DEPTH}: {prefetched} prefetch(es), \
-                             {avoided} B readback avoided, {evictions} eviction(s); \
-                             fingerprint and output bits equal to the spill-aware-off arm"
-                        )
-                    } else {
-                        format!(
-                            "{TIGHT} B budget, depth {DEPTH}: identical to off arm: \
-                             {identical}; ledger conserved: {}; evictions: {evictions}; \
-                             prefetches: {prefetched}{}",
-                            art.spill_conserved,
-                            if identical {
-                                String::new()
-                            } else {
-                                format!("; {}", diverged_detail("the off arm", &off, &art))
-                            },
-                        )
-                    },
-                );
-            }
-            Err(e) => report.record(
-                "spill-schedule-transparency",
-                label,
-                false,
-                format!("spill-aware run failed: {e}"),
-            ),
-        }
-    }
-    prefetched_total
 }
 
 /// First line of divergence between two runs' fingerprints, for evidence.
@@ -1388,7 +1262,6 @@ mod tests {
             "search-grid-coverage",
             "kernel-conformance",
             "spill-transparency",
-            "spill-schedule-transparency",
             "serve-isolation",
         ] {
             assert!(

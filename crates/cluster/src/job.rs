@@ -406,10 +406,11 @@ pub struct Task {
     /// `(matrix, ti, tj)` of the dominant input.
     pub locality_hint: Option<(String, usize, usize)>,
     /// Input tiles the task will read, in read order, when the task
-    /// builder knows them (e.g. the operand band of a GEMM task). The
-    /// spill-aware scheduler prefetches from this set; when empty, the
-    /// locality hint alone stands in for it. Purely advisory — never
-    /// consulted on any result-bearing path.
+    /// builder knows them (e.g. the operand band of a GEMM task); empty
+    /// when undeclared. A declaration, not a hint: the lowering tests
+    /// record every declaring task and check that its `TaskOp::Read`
+    /// sequence equals this set exactly, in order. No result-bearing
+    /// path consults it.
     pub read_set: Vec<(String, usize, usize)>,
 }
 
@@ -429,9 +430,9 @@ impl Task {
         self
     }
 
-    /// Declares the input tiles the task will read, in read order, so
-    /// the spill-aware scheduler can prefetch exactly what is about to
-    /// be demanded and nothing else.
+    /// Declares the input tiles the task will read, in read order (see
+    /// [`Task::read_set`]). The declaration must match the reads the
+    /// task's logic actually performs, tile for tile.
     pub fn with_read_set(mut self, tiles: Vec<(String, usize, usize)>) -> Self {
         self.read_set = tiles;
         self

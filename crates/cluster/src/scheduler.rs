@@ -103,26 +103,6 @@ pub struct SchedulerConfig {
     /// lane). Ignored for private pools. A multi-tenant service maps
     /// tenant priorities here.
     pub lane_priority: u8,
-    /// Spill-aware wave resolution: under a memory budget
-    /// ([`TileStore::set_memory_budget`]) each wave resolves assignments
-    /// whose hinted input tile is RAM-resident before those whose input is
-    /// demoted to the spill plane, so on-demand readbacks land late in the
-    /// wave (after any prefetch has had time to readmit them) instead of
-    /// evicting tiles the rest of the wave still needs. Assignment order,
-    /// commit order, simulated time, receipts, placement RNG draws and
-    /// fingerprints are bitwise-identical with this on or off (the
-    /// `spill-schedule-transparency` invariant); only host-side resolution
-    /// order and spill-plane traffic change.
-    pub spill_aware: bool,
-    /// Demoted tiles of the wave frontier (the wave's own spilled inputs,
-    /// then the next wave's) to readmit from the spill plane ahead of the
-    /// demand reads (0 disables prefetch). With worker threads the
-    /// readmissions are staged through the lookahead pool under a
-    /// dedicated lease, overlapping the wave's resolve phase;
-    /// single-threaded runs readmit inline as one batch before
-    /// resolution. Transparent to fingerprints exactly like
-    /// `spill_aware`.
-    pub prefetch_depth: usize,
 }
 
 impl Default for SchedulerConfig {
@@ -135,8 +115,6 @@ impl Default for SchedulerConfig {
             threads: 0,
             shared_pool: false,
             lane_priority: 0,
-            spill_aware: false,
-            prefetch_depth: 0,
         }
     }
 }
@@ -153,14 +131,6 @@ impl SchedulerConfig {
     /// Returns the config with an explicit worker-thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Returns the config with spill-aware wave resolution on and the
-    /// given prefetch depth (`cumulon run --prefetch-depth N`).
-    pub fn with_prefetch(mut self, depth: usize) -> Self {
-        self.spill_aware = true;
-        self.prefetch_depth = depth;
         self
     }
 }
@@ -723,18 +693,6 @@ struct Exec<'a> {
     /// This run's lease on a lookahead worker pool (private or shared);
     /// `None` when the run is single-threaded (inline legacy execution).
     pool: Option<SpecLease>,
-    /// Second lease on the same pool, used to stage spill-plane prefetch
-    /// work ([`SchedulerConfig::prefetch_depth`]). A separate lease keeps
-    /// the `(lease, job, task)` result keys disjoint from the run's own
-    /// lookahead recordings; prefetch results are never claimed and are
-    /// reaped when the lease drops at run end.
-    prefetch_lease: Option<SpecLease>,
-    /// Monotone counter keying prefetch enqueues under `prefetch_lease`.
-    prefetch_seq: usize,
-    /// `readback_bytes_avoided` baseline at run start, so the trace credit
-    /// at run end covers only this run's prefetch wins (recovery re-runs
-    /// share one spill plane).
-    spill_avoided_at_start: u64,
     /// Per-job flag: its tasks were handed to the pool (set once, the
     /// first `fill_slots` after the job's dependencies complete).
     spec_enqueued: Vec<bool>,
@@ -831,15 +789,6 @@ impl<'a> Exec<'a> {
             };
             pool.lease(config.lane_priority)
         });
-        let prefetch_lease = (config.prefetch_depth > 0)
-            .then(|| pool.as_ref().map(|l| l.pool.lease(config.lane_priority)))
-            .flatten();
-        let spill_avoided_at_start = sched
-            .store
-            .dfs()
-            .spill_stats()
-            .map(|s| s.readback_bytes_avoided)
-            .unwrap_or(0);
         Exec {
             sched,
             dag,
@@ -847,9 +796,6 @@ impl<'a> Exec<'a> {
             config,
             failures,
             pool,
-            prefetch_lease,
-            prefetch_seq: 0,
-            spill_avoided_at_start,
             spec_enqueued: vec![false; n_jobs],
             jobs,
             dependents,
@@ -898,24 +844,6 @@ impl<'a> Exec<'a> {
                 Event::NodeFailure { node } => self.on_node_failure(node, queue)?,
                 Event::RevocationWarning { idx } => self.on_revocation_warning(idx, queue)?,
                 Event::Revocation { idx } => self.on_revocation(idx, queue)?,
-            }
-        }
-        // Phase attribution for prefetch wins: credit the run's delta of
-        // readback bytes that were readmitted ahead of demand. Purely
-        // observational (SpillStats and the trace are outside the
-        // fingerprint), and — like the tile-cache counters — host-timing
-        // sensitive at `threads > 1`.
-        if self.trace.is_enabled() {
-            let avoided = self
-                .sched
-                .store
-                .dfs()
-                .spill_stats()
-                .map(|s| s.readback_bytes_avoided)
-                .unwrap_or(0)
-                .saturating_sub(self.spill_avoided_at_start);
-            if avoided > 0 {
-                self.trace.spill_readback_avoided(avoided);
             }
         }
         Ok(())
@@ -1156,179 +1084,6 @@ impl<'a> Exec<'a> {
         self.execute(e)
     }
 
-    /// Inline execution with a deferred-write context: identical receipts
-    /// and error points to [`Exec::execute`], but writes are staged for the
-    /// scheduler to commit in canonical order. The spill-aware path
-    /// resolves entries out of assignment order, so every write must go
-    /// through staging or the placement RNG draw sequence would follow
-    /// resolution order instead of canonical order.
-    fn execute_deferred(&self, e: &WaveEntry) -> ExecOutcome {
-        let mut ctx = TaskCtx::new_deferred(self.sched.store.clone(), NodeId(e.node), self.mode);
-        let result = (self.dag.jobs[e.job].tasks[e.task].run)(&mut ctx);
-        let (receipt, staged) = ctx.into_parts();
-        ExecOutcome {
-            receipt,
-            staged,
-            error: result.err(),
-        }
-    }
-
-    /// [`Exec::obtain_outcome`] for the spill-aware path: the inline
-    /// fallback stages its writes instead of committing them, so the
-    /// resolve order is free while the commit order stays canonical.
-    fn obtain_outcome_deferred(&self, e: &WaveEntry) -> ExecOutcome {
-        if let Some(lease) = &self.pool {
-            if let Some(rec) = lease.pool.take(lease, e.job, e.task) {
-                if rec.error.is_none() {
-                    if let Some(outcome) = self.try_replay(e, rec.ops) {
-                        return outcome;
-                    }
-                }
-            }
-        }
-        self.execute_deferred(e)
-    }
-
-    /// Residency oracle for one assignment: is its hinted dominant input
-    /// currently demoted to the spill plane (a read now pays a synchronous
-    /// readback)? Hint-less tasks count as resident.
-    fn entry_input_spilled(&self, e: &WaveEntry) -> bool {
-        self.dag.jobs[e.job].tasks[e.task]
-            .locality_hint
-            .as_ref()
-            .is_some_and(|(m, ti, tj)| self.sched.store.tile_is_spilled(m, *ti, *tj))
-    }
-
-    /// The wave's spilled frontier: up to
-    /// [`SchedulerConfig::prefetch_depth`] distinct demoted tiles the
-    /// scheduler is about to want, scanned in demand order — first the
-    /// fill's own still-unresolved entries (`pending`, as `(job, task)`
-    /// pairs; their reads are next), then — only once every ready job's
-    /// pending pool is drained, so the successors really are the next
-    /// wave — the tasks of not-yet-ready successor jobs in index order
-    /// (their reads of tiles *earlier* jobs produced — reused inputs
-    /// like the `A` of every power iteration — already exist and may
-    /// have spilled, while reads of tiles this fill is still producing
-    /// simply aren't demoted yet and are skipped).
-    fn prefetch_frontier(&self, pending: &[(usize, usize)]) -> Vec<(String, usize, usize)> {
-        let depth = self.config.prefetch_depth;
-        let mut frontier: Vec<(String, usize, usize)> = Vec::new();
-        if depth == 0 {
-            return frontier;
-        }
-        // Only tiles a not-yet-resolved task is about to read are
-        // candidates: every one is still ahead of its demand read, so a
-        // readmission can never waste budget on a tile the run has
-        // already consumed (a whole-matrix sweep would re-fetch spilled
-        // tiles that nothing reads again, evicting live ones to do it).
-        // A task's declared read set enumerates those tiles in read
-        // order; tasks without one contribute their locality hint.
-        let consider = |job: usize, task: usize, frontier: &mut Vec<(String, usize, usize)>| {
-            let t = &self.dag.jobs[job].tasks[task];
-            let hint = t
-                .read_set
-                .is_empty()
-                .then(|| t.locality_hint.clone())
-                .flatten();
-            for (m, i, j) in t.read_set.iter().cloned().chain(hint) {
-                if frontier.len() >= depth {
-                    return;
-                }
-                let key = (m, i, j);
-                if !frontier.contains(&key)
-                    && self.sched.store.tile_is_spilled(&key.0, key.1, key.2)
-                {
-                    frontier.push(key);
-                }
-            }
-        };
-        for &(job, task) in pending {
-            if frontier.len() >= depth {
-                return frontier;
-            }
-            consider(job, task, &mut frontier);
-        }
-        // Looking past the fill's own entries is the next wave's frontier
-        // only once every ready job's pending pool is drained. Scanning
-        // unassigned or successor tasks while ready work remains is
-        // actively harmful: their reads are many fills away, every
-        // intervening fill commits writes that evict what the scan
-        // readmitted, and the next fill's scan readmits the same tiles
-        // again — the prefetcher becomes a readback amplifier. (The
-        // fill's own entries are immune: their reads land before any of
-        // this fill's writes commit.)
-        let ready_drained = self
-            .jobs
-            .iter()
-            .all(|s| s.done || s.remaining_deps > 0 || s.pending.is_empty());
-        if !ready_drained {
-            return frontier;
-        }
-        for (j, state) in self.jobs.iter().enumerate() {
-            if state.done || state.remaining_deps == 0 {
-                continue;
-            }
-            for t in 0..self.dag.jobs[j].tasks.len() {
-                if frontier.len() >= depth {
-                    return frontier;
-                }
-                if !state.task_done[t] {
-                    consider(j, t, &mut frontier);
-                }
-            }
-        }
-        frontier
-    }
-
-    /// Readmits the frontier's tiles from the spill plane. With a worker
-    /// pool the readmissions run asynchronously under the prefetch lease,
-    /// overlapping the wave's resolve phase; single-threaded runs readmit
-    /// inline as one batch before resolution, ahead of the demand reads.
-    /// Readmission replaces a demoted replica in place — no placement RNG
-    /// draw — and errors are deliberately dropped: prefetch is a hint,
-    /// and the next canonical read pays the readback it would have paid
-    /// anyway. Staging is byte-capped at half the memory budget:
-    /// readmitting more than the budget can hold evicts the very tiles
-    /// just prefetched (and, worse, tiles the current wave still needs),
-    /// turning the prefetch into extra readbacks instead of fewer.
-    fn stage_prefetch(&mut self, frontier: Vec<(String, usize, usize)>) {
-        if frontier.is_empty() {
-            return;
-        }
-        let cap = self.sched.store.memory_budget().map(|b| b / 2);
-        if self.prefetch_lease.is_none() {
-            let mut spent = 0u64;
-            for (m, ti, tj) in frontier {
-                if cap.is_some_and(|c| spent >= c) {
-                    break;
-                }
-                spent += self.sched.store.prefetch_tile(&m, ti, tj).unwrap_or(0);
-            }
-            return;
-        }
-        let spent = Arc::new(AtomicU64::new(0));
-        let mut batch: Vec<(usize, usize, TaskFn)> = Vec::with_capacity(frontier.len());
-        for (m, ti, tj) in frontier {
-            let store = self.sched.store.clone();
-            let spent = spent.clone();
-            let run: TaskFn = Arc::new(move |_ctx: &mut TaskCtx| {
-                if cap.is_some_and(|c| spent.load(Ordering::Relaxed) >= c) {
-                    return Ok(());
-                }
-                if let Ok(bytes) = store.prefetch_tile(&m, ti, tj) {
-                    spent.fetch_add(bytes, Ordering::Relaxed);
-                }
-                Ok(())
-            });
-            batch.push((0, self.prefetch_seq, run));
-            self.prefetch_seq += 1;
-        }
-        let lease = self.prefetch_lease.as_ref().expect("checked above");
-        lease
-            .pool
-            .enqueue(lease, batch, &self.sched.store, self.mode);
-    }
-
     /// Applies one executed entry's effects, in canonical order: commit
     /// staged writes (replaying the DFS placement RNG draws a sequential
     /// run would make), book attempts and fault counters, resolve injected
@@ -1466,9 +1221,6 @@ impl<'a> Exec<'a> {
         let nodes = self.sched.spec.nodes;
         let slots = self.sched.spec.slots_per_node;
         let now = queue.now();
-        if self.config.spill_aware || self.config.prefetch_depth > 0 {
-            return self.fill_slots_spill_aware(queue, now);
-        }
         for node in 0..nodes {
             if !self.node_alive[node as usize] || self.doomed[node as usize] {
                 continue;
@@ -1484,97 +1236,6 @@ impl<'a> Exec<'a> {
                 let outcome = self.obtain_outcome(&entry);
                 self.finalize(&entry, outcome, queue)?;
             }
-        }
-        Ok(())
-    }
-
-    /// The spill-aware wave ([`SchedulerConfig::spill_aware`] /
-    /// [`SchedulerConfig::prefetch_depth`]). Same observable semantics as
-    /// the legacy loop, restructured into phases:
-    ///
-    /// 1. *Assign* every free slot in canonical node/slot order. Legal to
-    ///    hoist because assignment decisions are insensitive to same-pass
-    ///    commits (see [`Exec::fill_slots`]) — the entry sequence, epoch
-    ///    numbering and pending-queue mutations are identical.
-    /// 2. *Prefetch*: compute the wave frontier's spilled tiles and stage
-    ///    their readmissions (pool-async with workers, else one inline
-    ///    batch ahead of the demand reads).
-    /// 3. *Resolve* the entries — resident-input entries first (stable
-    ///    order within each class) when `spill_aware`. Reads are
-    ///    order-insensitive: block service is stateless locality-ordered
-    ///    replica selection, read receipts do not depend on cache or spill
-    ///    state, and same-wave tasks never read each other's outputs (a
-    ///    ready job's inputs are durable before the wave). Writes are
-    ///    staged, not committed.
-    /// 4. *Finalize* in canonical assignment order: staged writes commit
-    ///    here, so the placement RNG draw sequence, receipt accumulation
-    ///    order, fault bookkeeping and event schedule are bitwise those of
-    ///    the legacy loop.
-    ///
-    /// Only host-side resolve order, spill-plane traffic and the
-    /// (fingerprint-excluded) cache/spill counters differ.
-    fn fill_slots_spill_aware(
-        &mut self,
-        queue: &mut EventQueue<Event>,
-        now: SimTime,
-    ) -> Result<()> {
-        let nodes = self.sched.spec.nodes;
-        let slots = self.sched.spec.slots_per_node;
-        let mut entries: Vec<WaveEntry> = Vec::new();
-        for node in 0..nodes {
-            if !self.node_alive[node as usize] || self.doomed[node as usize] {
-                continue;
-            }
-            for slot in 0..slots {
-                let idx = (node * slots + slot) as usize;
-                if self.slot_state[idx].is_some() {
-                    continue;
-                }
-                if let Some(entry) = self.assign(node, slot, now) {
-                    entries.push(entry);
-                }
-            }
-        }
-        // Residency snapshot before any resolution runs: spilled-input
-        // entries resolve last from one consistent view.
-        let mut order: Vec<usize> = (0..entries.len()).collect();
-        let mut spilled: Vec<bool> = vec![false; entries.len()];
-        if self.config.spill_aware {
-            spilled = entries
-                .iter()
-                .map(|e| self.entry_input_spilled(e))
-                .collect();
-            order.sort_by_key(|&i| spilled[i]);
-        }
-        let mut outcomes: Vec<Option<ExecOutcome>> = Vec::new();
-        outcomes.resize_with(entries.len(), || None);
-        // The prefetch stages at the resident/spilled boundary of the
-        // resolve order: after it, readmissions cannot evict tiles the
-        // resident-input entries still need; before the spilled-input
-        // entries, an async prefetch gets the longest overlap with their
-        // demand reads. Only the still-unresolved suffix of the wave
-        // feeds the frontier — resolved entries' reads are already paid.
-        // A wave with no spilled inputs degenerates to an end-of-wave
-        // prefetch for the next wave's frontier.
-        let mut prefetched = false;
-        for (pos, &i) in order.iter().enumerate() {
-            if !prefetched && spilled[i] {
-                let pending: Vec<(usize, usize)> = order[pos..]
-                    .iter()
-                    .map(|&j| (entries[j].job, entries[j].task))
-                    .collect();
-                let frontier = self.prefetch_frontier(&pending);
-                self.stage_prefetch(frontier);
-                prefetched = true;
-            }
-            outcomes[i] = Some(self.obtain_outcome_deferred(&entries[i]));
-        }
-        if !prefetched {
-            let frontier = self.prefetch_frontier(&[]);
-            self.stage_prefetch(frontier);
-        }
-        for (entry, outcome) in entries.iter().zip(outcomes) {
-            self.finalize(entry, outcome.expect("every entry resolved above"), queue)?;
         }
         Ok(())
     }
@@ -2472,112 +2133,6 @@ mod tests {
                 assert_eq!(ev, 0);
             }
         }
-    }
-
-    /// Spill-aware resolution + frontier prefetch must be invisible in the
-    /// fingerprint (assignment, receipts, placement, simulated time all
-    /// unchanged) while strictly reducing the synchronous readback volume
-    /// — the bytes a task's own read had to pull back from the spill
-    /// plane's blob store on demand.
-    #[test]
-    fn spill_aware_prefetch_cuts_readbacks_without_moving_the_fingerprint() {
-        use cumulon_matrix::tile::ElemOp;
-
-        let run = |config: SchedulerConfig| {
-            let c = cluster(3, 2);
-            c.store()
-                .set_memory_budget(&cumulon_dfs::SpillConfig::budgeted(1200))
-                .unwrap();
-            let meta = MatrixMeta::new(16, 16, 4);
-            c.store().register("A", meta).unwrap();
-            for ti in 0..4 {
-                for tj in 0..4 {
-                    let t = cumulon_matrix::DenseTile::from_fn(4, 4, |i, j| {
-                        (ti * 64 + tj * 16 + i * 4 + j) as f64 * 0.25 - 3.0
-                    });
-                    c.store()
-                        .write_tile("A", ti, tj, &Tile::dense(t), None)
-                        .unwrap();
-                }
-            }
-            c.store().register("B", meta).unwrap();
-            c.store().register("C", MatrixMeta::new(4, 16, 4)).unwrap();
-            let mut dag = JobDag::new();
-            let doubles = (0..16usize)
-                .map(|i| {
-                    let (ti, tj) = (i / 4, i % 4);
-                    Task::new(move |ctx| {
-                        ctx.charge(Work {
-                            flops: 2e10,
-                            bytes_in: 0.0,
-                            bytes_out: 0.0,
-                        });
-                        let t = ctx.read_tile("A", ti, tj)?;
-                        let d = t.elementwise(&t, ElemOp::Add)?;
-                        ctx.write_tile("B", ti, tj, &d)?;
-                        Ok(())
-                    })
-                    .with_locality("A", ti, tj)
-                })
-                .collect();
-            dag.push(Job::new("double", "elem", doubles), vec![]);
-            let folds = (0..4usize)
-                .map(|tj| {
-                    Task::new(move |ctx| {
-                        let mut acc = Tile::dense(cumulon_matrix::DenseTile::zeros(4, 4));
-                        for ti in 0..4 {
-                            let t = ctx.read_tile("B", ti, tj)?;
-                            acc = t.elementwise(&acc, ElemOp::Add)?;
-                        }
-                        ctx.write_tile("C", 0, tj, &acc)?;
-                        Ok(())
-                    })
-                })
-                .collect();
-            dag.push(Job::new("fold", "elem", folds), vec![0]);
-            let r = c
-                .run_with(&dag, ExecMode::Real, config, &FailurePlan::default())
-                .unwrap();
-            let out = c.store().get_local("C").unwrap();
-            let stats = c.store().dfs().spill_stats().expect("budget is set");
-            (
-                format!("{} out={:016x}", r.fingerprint(), out.sum().to_bits()),
-                stats,
-            )
-        };
-
-        let base = SchedulerConfig {
-            threads: 1,
-            ..Default::default()
-        };
-        let (fp_off, off) = run(base);
-        assert_eq!(off.readback_bytes_avoided, 0, "nothing prefetched when off");
-        assert!(off.readback_bytes_total > 0, "budget must force readbacks");
-
-        let (fp_on, on) = run(base.with_prefetch(3));
-        assert_eq!(
-            fp_on, fp_off,
-            "spill-awareness must not move the fingerprint"
-        );
-        assert!(on.prefetched_files > 0, "frontier prefetch must fire");
-        assert!(
-            on.readback_bytes_avoided > 0,
-            "prefetched tiles must be read"
-        );
-        let sync_on = on.readback_bytes_total - on.readback_bytes_avoided;
-        assert!(
-            sync_on < off.readback_bytes_total,
-            "on-demand readback bytes must strictly drop: {sync_on} vs {}",
-            off.readback_bytes_total
-        );
-
-        // Worker threads race the prefetch against the wave, so counters
-        // may differ run to run — but the fingerprint may not.
-        let (fp_threaded, _) = run(base.with_prefetch(3).with_threads(4));
-        assert_eq!(
-            fp_threaded, fp_off,
-            "threaded prefetch must stay transparent"
-        );
     }
 
     #[test]

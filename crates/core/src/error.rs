@@ -18,6 +18,9 @@ pub enum CoreError {
     BadExprId(usize),
     /// A rewrite's precondition was violated (internal invariant).
     Invariant(String),
+    /// A malformed command line (unknown flag, missing or bad value). The
+    /// message is shown to the user as is.
+    Usage(String),
     /// No deployment satisfies the constraint.
     Infeasible(String),
     /// Cost-model calibration failed (singular system, no samples, ...).
@@ -42,6 +45,7 @@ impl fmt::Display for CoreError {
             CoreError::Shape { node, detail } => write!(f, "shape error at {node}: {detail}"),
             CoreError::BadExprId(id) => write!(f, "expression id {id} out of range"),
             CoreError::Invariant(m) => write!(f, "planner invariant violated: {m}"),
+            CoreError::Usage(m) => f.write_str(m),
             CoreError::Infeasible(m) => write!(f, "no feasible deployment: {m}"),
             CoreError::Calibration(m) => write!(f, "calibration failed: {m}"),
             CoreError::Exec(m) => write!(f, "execution failed: {m}"),
@@ -78,6 +82,10 @@ mod tests {
         assert_eq!(
             CoreError::UnknownInput("V".into()).to_string(),
             "unknown input matrix: V"
+        );
+        assert_eq!(
+            CoreError::Usage("unknown argument '--x'".into()).to_string(),
+            "unknown argument '--x'"
         );
         assert!(CoreError::Infeasible("deadline 1s".into())
             .to_string()

@@ -445,8 +445,7 @@ fn mul_tasks(
                 let hint_i = i_range.start;
                 let hint_k = k_range.start;
                 // The exact stored tiles the closure below will demand,
-                // in read order, so the spill-aware scheduler can
-                // prefetch the band instead of guessing from the hint.
+                // in read order.
                 let mut read_set: Vec<(String, usize, usize)> = Vec::new();
                 for i in i_range.clone() {
                     for k in k_range.clone() {
@@ -593,6 +592,19 @@ fn eval_fused(
     }
 }
 
+/// The input index of every `Read` leaf of `expr`, in the order
+/// [`eval_fused`] reads them.
+fn read_leaves(expr: &FusedExpr, out: &mut Vec<usize>) {
+    match expr {
+        FusedExpr::Read(idx) => out.push(*idx),
+        FusedExpr::Elem(_, a, b) => {
+            read_leaves(a, out);
+            read_leaves(b, out);
+        }
+        FusedExpr::Scale(a, _) | FusedExpr::Unary(_, a) => read_leaves(a, out),
+    }
+}
+
 fn fused_tasks(
     inputs: &[(MatRef, OperandStats)],
     expr: &FusedExpr,
@@ -609,9 +621,18 @@ fn fused_tasks(
         let out = out.to_string();
         let hint = chunk[0];
         let first = inputs[0].0.clone();
+        // `eval_fused` reads one tile per `Read` leaf, left to right, so
+        // an input the expression names twice is read twice.
+        let mut leaves = Vec::with_capacity(expr.read_count());
+        read_leaves(&expr, &mut leaves);
         let read_set: Vec<(String, usize, usize)> = chunk
             .iter()
-            .flat_map(|&(i, j)| inputs.iter().map(move |(m, _)| stored_coord(m, i, j)))
+            .flat_map(|&(i, j)| {
+                let inputs = &inputs;
+                leaves
+                    .iter()
+                    .map(move |&l| stored_coord(&inputs[l].0, i, j))
+            })
             .collect();
         tasks.push(
             Task::new(move |ctx| {
@@ -909,6 +930,76 @@ mod tests {
         let mut expect = a.transpose();
         expect.scale(-1.0);
         assert!(got.max_abs_diff(&expect).unwrap() < 1e-12);
+    }
+
+    /// Every declared read set is exact: lowering programs that exercise
+    /// the mul (plain, banded, transposed), add-partials and fused
+    /// builders, running them, then re-running each declaring task under
+    /// a recording context yields a `TaskOp::Read` sequence equal to the
+    /// declaration, tile for tile and in order.
+    #[test]
+    fn declared_read_sets_match_recorded_reads() {
+        use cumulon_cluster::job::TaskOp;
+        use cumulon_cluster::TaskCtx;
+
+        let c = cluster();
+        load(&c, "A", 12, 8, 14);
+        load(&c, "B", 8, 12, 15);
+        load(&c, "S", 12, 8, 16);
+        let mut pb = ProgramBuilder::new();
+        let (ia, ib, is) = (pb.input("A"), pb.input("B"), pb.input("S"));
+        let ab = pb.mul(ia, ib); // banded, k-split: mul + add-partials
+        pb.output("AB", ab);
+        let at = pb.transpose(ia);
+        let g = pb.mul(at, ia); // transposed operand
+        pb.output("G", g);
+        // |2(A + S)| ⊙ A − Sᵀᵀ: a fused region reading A twice.
+        let sum = pb.add(ia, is);
+        let sc = pb.scale(sum, 2.0);
+        let abs = pb.unary(UnaryOp::Abs, sc);
+        let prod = pb.elem_mul(abs, ia);
+        let st = pb.transpose(is);
+        let stt = pb.transpose(st);
+        let f = pb.sub(prod, stt);
+        pb.output("F", f);
+        // Fused over a transposed input.
+        let bt = pb.transpose(ib);
+        let nb = pb.scale(bt, -1.0);
+        pb.output("NB", nb);
+        let program = pb.build();
+        let inputs = descs(&c, &["A", "B", "S"]);
+        let split = MulSplit {
+            ri: 2,
+            rj: 2,
+            rk: 1,
+        };
+        let plan = build_plan(&program, &inputs, &FixedSplit(split, 2), "tmp").unwrap();
+        let dag = instantiate(&plan, c.store()).unwrap();
+        c.run(&dag, ExecMode::Real).unwrap();
+
+        let mut checked: BTreeMap<String, usize> = BTreeMap::new();
+        for job in &dag.jobs {
+            for task in job.tasks.iter().filter(|t| !t.read_set.is_empty()) {
+                let mut ctx = TaskCtx::new_recording(c.store().clone(), ExecMode::Real);
+                (task.run)(&mut ctx).unwrap();
+                let reads: Vec<(String, usize, usize)> = ctx
+                    .into_ops()
+                    .into_iter()
+                    .filter_map(|op| match op {
+                        TaskOp::Read { matrix, ti, tj, .. } => Some((matrix, ti, tj)),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(reads, task.read_set, "job {}", job.name);
+                *checked.entry(job.op_label.clone()).or_default() += 1;
+            }
+        }
+        for label in ["mul", "add", "fused"] {
+            assert!(
+                checked.get(label).is_some_and(|&n| n > 0),
+                "no {label} task declared a read set: {checked:?}"
+            );
+        }
     }
 }
 

@@ -102,14 +102,6 @@ pub enum Command {
         /// Directory for spill segment files (default: a per-process
         /// temp directory). Only meaningful with `--memory-budget`.
         spill_dir: Option<String>,
-        /// Spill-aware scheduling: resolve tasks whose hinted input tiles
-        /// are RAM-resident first and prefetch up to this many spilled
-        /// frontier tiles per wave, turning synchronous readbacks into
-        /// overlapped ones. `0` disables. Results, receipts and simulated
-        /// time are bitwise-identical at any depth (the
-        /// `spill-schedule-transparency` invariant). Only meaningful with
-        /// `--memory-budget`.
-        prefetch_depth: usize,
     },
     /// `trace`: execute like `run`, then print the critical-path,
     /// slot-utilization and estimate-vs-actual reports for the traced
@@ -180,17 +172,27 @@ pub enum Command {
     },
 }
 
-/// Parses CLI arguments (past the binary name).
+/// A bad `--input` spec is an argument error: re-type the parser's
+/// message as [`CoreError::Usage`].
+fn as_usage(e: CoreError) -> CoreError {
+    match e {
+        CoreError::Invariant(m) => CoreError::Usage(m),
+        other => other,
+    }
+}
+
+/// Parses CLI arguments (past the binary name). Every argument error is a
+/// [`CoreError::Usage`].
 pub fn parse_args(args: &[String]) -> Result<Command> {
     let usage = || {
-        CoreError::Invariant(
+        CoreError::Usage(
             "usage: cumulon <plan|run|trace|explain> <script> --input NAME=RxC[@D][:T] ...\n\
              plan:    [--deadline MIN | --budget DOLLARS] [--max-nodes N]\n\
                       [--spot [--bid FRAC]]   (spot-vs-on-demand × checkpoint\n\
                       interval search under the deadline)\n\
              run:     --instance TYPE --nodes N [--slots S] [--real] [--threads T]\n\
                       [--kernel-threads K] [--materialize-bytes] [--trace FILE.json]\n\
-                      [--memory-budget BYTES [--spill-dir PATH] [--prefetch-depth N]]\n\
+                      [--memory-budget BYTES [--spill-dir PATH]]\n\
                       [--spot [--bid FRAC]] [--elastic]\n\
              trace:   --instance TYPE --nodes N [--slots S] [--real] [--threads T]\n\
                       [--kernel-threads K] [--trace FILE.json]   (prints critical-\n\
@@ -218,13 +220,14 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
             match arg.as_str() {
                 "--quick" => quick = true,
                 "--report" => {
-                    report =
-                        Some(it.next().cloned().ok_or_else(|| {
-                            CoreError::Invariant("--report needs a file path".into())
-                        })?)
+                    report = Some(
+                        it.next()
+                            .cloned()
+                            .ok_or_else(|| CoreError::Usage("--report needs a file path".into()))?,
+                    )
                 }
                 other => {
-                    return Err(CoreError::Invariant(format!(
+                    return Err(CoreError::Usage(format!(
                         "unknown argument '{other}' for check"
                     )));
                 }
@@ -242,11 +245,11 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
             let mut value = |flag: &str| {
                 it.next()
                     .cloned()
-                    .ok_or_else(|| CoreError::Invariant(format!("{flag} needs a value")))
+                    .ok_or_else(|| CoreError::Usage(format!("{flag} needs a value")))
             };
             let int = |flag: &str, v: String| {
                 v.parse::<usize>()
-                    .map_err(|_| CoreError::Invariant(format!("{flag} needs an integer")))
+                    .map_err(|_| CoreError::Usage(format!("{flag} needs an integer")))
             };
             match arg.as_str() {
                 "--addr" => addr = value("--addr")?,
@@ -254,14 +257,14 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                 "--run-workers" => run_workers = int("--run-workers", value("--run-workers")?)?,
                 "--threads" => threads = int("--threads", value("--threads")?)?,
                 other => {
-                    return Err(CoreError::Invariant(format!(
+                    return Err(CoreError::Usage(format!(
                         "unknown argument '{other}' for serve"
                     )));
                 }
             }
         }
         if queue_depth == 0 || run_workers == 0 {
-            return Err(CoreError::Invariant(
+            return Err(CoreError::Usage(
                 "--queue-depth and --run-workers must be positive".into(),
             ));
         }
@@ -282,19 +285,19 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
             let mut value = |flag: &str| {
                 it.next()
                     .cloned()
-                    .ok_or_else(|| CoreError::Invariant(format!("{flag} needs a value")))
+                    .ok_or_else(|| CoreError::Usage(format!("{flag} needs a value")))
             };
             match arg.as_str() {
                 "--instance" => instance = value("--instance")?,
                 "--quick" => quick = true,
                 "--kernel-threads" => {
-                    kernel_threads = value("--kernel-threads")?.parse().map_err(|_| {
-                        CoreError::Invariant("--kernel-threads needs an integer".into())
-                    })?
+                    kernel_threads = value("--kernel-threads")?
+                        .parse()
+                        .map_err(|_| CoreError::Usage("--kernel-threads needs an integer".into()))?
                 }
                 "--json" => json = Some(value("--json")?),
                 other => {
-                    return Err(CoreError::Invariant(format!(
+                    return Err(CoreError::Usage(format!(
                         "unknown argument '{other}' for calibrate"
                     )));
                 }
@@ -325,21 +328,22 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
     let mut elastic = false;
     let mut memory_budget = 0u64;
     let mut spill_dir: Option<String> = None;
-    let mut prefetch_depth = 0usize;
 
     let next_value = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<String> {
         it.next()
             .cloned()
-            .ok_or_else(|| CoreError::Invariant(format!("{flag} needs a value")))
+            .ok_or_else(|| CoreError::Usage(format!("{flag} needs a value")))
     };
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--input" => inputs.push(InputSpec::parse(&next_value(&mut it, "--input")?)?),
+            "--input" => {
+                inputs.push(InputSpec::parse(&next_value(&mut it, "--input")?).map_err(as_usage)?)
+            }
             "--deadline" => {
                 deadline = Some(
                     next_value(&mut it, "--deadline")?
                         .parse::<f64>()
-                        .map_err(|_| CoreError::Invariant("--deadline needs minutes".into()))?
+                        .map_err(|_| CoreError::Usage("--deadline needs minutes".into()))?
                         * 60.0,
                 )
             }
@@ -347,28 +351,26 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                 budget = Some(
                     next_value(&mut it, "--budget")?
                         .parse::<f64>()
-                        .map_err(|_| {
-                            CoreError::Invariant("--budget needs a dollar amount".into())
-                        })?,
+                        .map_err(|_| CoreError::Usage("--budget needs a dollar amount".into()))?,
                 )
             }
             "--max-nodes" => {
                 max_nodes = next_value(&mut it, "--max-nodes")?
                     .parse()
-                    .map_err(|_| CoreError::Invariant("--max-nodes needs an integer".into()))?
+                    .map_err(|_| CoreError::Usage("--max-nodes needs an integer".into()))?
             }
             "--instance" => instance = Some(next_value(&mut it, "--instance")?),
             "--nodes" => {
                 nodes = Some(
                     next_value(&mut it, "--nodes")?
                         .parse()
-                        .map_err(|_| CoreError::Invariant("--nodes needs an integer".into()))?,
+                        .map_err(|_| CoreError::Usage("--nodes needs an integer".into()))?,
                 )
             }
             "--slots" => {
                 slots = next_value(&mut it, "--slots")?
                     .parse()
-                    .map_err(|_| CoreError::Invariant("--slots needs an integer".into()))?
+                    .map_err(|_| CoreError::Usage("--slots needs an integer".into()))?
             }
             "--real" => real = true,
             "--materialize-bytes" => materialize_bytes = true,
@@ -376,10 +378,10 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
             "--elastic" => elastic = true,
             "--bid" => {
                 let frac = next_value(&mut it, "--bid")?.parse::<f64>().map_err(|_| {
-                    CoreError::Invariant("--bid needs a fraction of the list price".into())
+                    CoreError::Usage("--bid needs a fraction of the list price".into())
                 })?;
                 if !(frac > 0.0 && frac.is_finite()) {
-                    return Err(CoreError::Invariant(
+                    return Err(CoreError::Usage(
                         "--bid must be a positive fraction of the list price".into(),
                     ));
                 }
@@ -389,78 +391,62 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
             "--threads" => {
                 threads = next_value(&mut it, "--threads")?
                     .parse()
-                    .map_err(|_| CoreError::Invariant("--threads needs an integer".into()))?
+                    .map_err(|_| CoreError::Usage("--threads needs an integer".into()))?
             }
             "--kernel-threads" => {
                 kernel_threads = next_value(&mut it, "--kernel-threads")?
                     .parse()
-                    .map_err(|_| CoreError::Invariant("--kernel-threads needs an integer".into()))?
+                    .map_err(|_| CoreError::Usage("--kernel-threads needs an integer".into()))?
             }
             "--memory-budget" => {
                 memory_budget = next_value(&mut it, "--memory-budget")?
                     .parse()
-                    .map_err(|_| {
-                        CoreError::Invariant("--memory-budget needs a byte count".into())
-                    })?
+                    .map_err(|_| CoreError::Usage("--memory-budget needs a byte count".into()))?
             }
             "--spill-dir" => spill_dir = Some(next_value(&mut it, "--spill-dir")?),
-            "--prefetch-depth" => {
-                prefetch_depth = next_value(&mut it, "--prefetch-depth")?
-                    .parse()
-                    .map_err(|_| {
-                        CoreError::Invariant("--prefetch-depth needs a tile count".into())
-                    })?
-            }
             other => {
-                return Err(CoreError::Invariant(format!("unknown argument '{other}'")));
+                return Err(CoreError::Usage(format!("unknown argument '{other}'")));
             }
         }
     }
     if inputs.is_empty() {
-        return Err(CoreError::Invariant(
-            "at least one --input is required".into(),
-        ));
+        return Err(CoreError::Usage("at least one --input is required".into()));
     }
     if bid.is_some() && !spot {
-        return Err(CoreError::Invariant("--bid requires --spot".into()));
+        return Err(CoreError::Usage("--bid requires --spot".into()));
     }
     if (spot || elastic) && !matches!(cmd.as_str(), "plan" | "run") {
-        return Err(CoreError::Invariant(format!(
+        return Err(CoreError::Usage(format!(
             "--spot/--elastic only apply to plan and run, not {cmd}"
         )));
     }
-    if (memory_budget != 0 || spill_dir.is_some() || prefetch_depth != 0) && cmd != "run" {
-        return Err(CoreError::Invariant(format!(
-            "--memory-budget/--spill-dir/--prefetch-depth only apply to run, not {cmd}"
+    if (memory_budget != 0 || spill_dir.is_some()) && cmd != "run" {
+        return Err(CoreError::Usage(format!(
+            "--memory-budget/--spill-dir only apply to run, not {cmd}"
         )));
     }
     if spill_dir.is_some() && memory_budget == 0 {
-        return Err(CoreError::Invariant(
+        return Err(CoreError::Usage(
             "--spill-dir requires --memory-budget".into(),
-        ));
-    }
-    if prefetch_depth != 0 && memory_budget == 0 {
-        return Err(CoreError::Invariant(
-            "--prefetch-depth requires --memory-budget (nothing spills without one)".into(),
         ));
     }
     match cmd.as_str() {
         "plan" => {
             if elastic {
-                return Err(CoreError::Invariant("--elastic only applies to run".into()));
+                return Err(CoreError::Usage("--elastic only applies to run".into()));
             }
             let constraint = match (deadline, budget) {
                 (Some(d), None) => Constraint::Deadline(d),
                 (None, Some(b)) => Constraint::Budget(b),
                 (None, None) => Constraint::Deadline(3_600.0),
                 (Some(_), Some(_)) => {
-                    return Err(CoreError::Invariant(
+                    return Err(CoreError::Usage(
                         "pick one of --deadline and --budget".into(),
                     ))
                 }
             };
             if spot && matches!(constraint, Constraint::Budget(_)) {
-                return Err(CoreError::Invariant(
+                return Err(CoreError::Usage(
                     "--spot prices rework against a deadline; use --deadline, not --budget".into(),
                 ));
             }
@@ -475,10 +461,10 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
         }
         "run" => {
             let instance =
-                instance.ok_or_else(|| CoreError::Invariant("run needs --instance".into()))?;
-            let nodes = nodes.ok_or_else(|| CoreError::Invariant("run needs --nodes".into()))?;
+                instance.ok_or_else(|| CoreError::Usage("run needs --instance".into()))?;
+            let nodes = nodes.ok_or_else(|| CoreError::Usage("run needs --nodes".into()))?;
             if elastic && trace.is_some() {
-                return Err(CoreError::Invariant(
+                return Err(CoreError::Usage(
                     "--elastic drives its own traced run; drop --trace".into(),
                 ));
             }
@@ -498,13 +484,12 @@ pub fn parse_args(args: &[String]) -> Result<Command> {
                 kernel_threads,
                 memory_budget,
                 spill_dir,
-                prefetch_depth,
             })
         }
         "trace" => {
             let instance =
-                instance.ok_or_else(|| CoreError::Invariant("trace needs --instance".into()))?;
-            let nodes = nodes.ok_or_else(|| CoreError::Invariant("trace needs --nodes".into()))?;
+                instance.ok_or_else(|| CoreError::Usage("trace needs --instance".into()))?;
+            let nodes = nodes.ok_or_else(|| CoreError::Usage("trace needs --nodes".into()))?;
             Ok(Command::Trace {
                 script,
                 inputs,
@@ -780,7 +765,6 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<()> {
             kernel_threads,
             memory_budget,
             spill_dir,
-            prefetch_depth,
         } => {
             cumulon_cluster::set_default_threads(*threads);
             cumulon_matrix::set_kernel_threads(*kernel_threads);
@@ -804,11 +788,7 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<()> {
                 )
                 .map_err(w)?;
             }
-            let sched = if *prefetch_depth > 0 {
-                SchedulerConfig::default().with_prefetch(*prefetch_depth)
-            } else {
-                SchedulerConfig::default()
-            };
+            let sched = SchedulerConfig::default();
             let failures = if *spot {
                 // Scale the price trace to the run so crossings land
                 // mid-run; an estimate failure falls back to an hour.
@@ -908,15 +888,6 @@ pub fn execute(cmd: &Command, out: &mut impl std::io::Write) -> Result<()> {
                         stats.readback_bytes_total
                     )
                     .map_err(w)?;
-                    if *prefetch_depth > 0 {
-                        writeln!(
-                            out,
-                            "spill  : {} tile(s) prefetched, {} B of readback \
-                             overlapped ahead of demand",
-                            stats.prefetched_files, stats.readback_bytes_avoided
-                        )
-                        .map_err(w)?;
-                    }
                 }
             }
             if *real {
@@ -1170,6 +1141,14 @@ mod tests {
         s.split_whitespace().map(str::to_string).collect()
     }
 
+    /// Parses `s`, expecting a [`CoreError::Usage`]; returns its message.
+    fn usage_err(s: &str) -> String {
+        match parse_args(&args(s)) {
+            Err(CoreError::Usage(m)) => m,
+            other => panic!("`{s}`: expected a usage error, got {other:?}"),
+        }
+    }
+
     // `InputSpec` parsing is unit-tested where it lives, in `cumulon-lang`.
 
     #[test]
@@ -1223,7 +1202,6 @@ mod tests {
                 kernel_threads: 1,
                 memory_budget: 0,
                 spill_dir: None,
-                prefetch_depth: 0,
             }
         );
     }
@@ -1232,50 +1210,37 @@ mod tests {
     fn parse_spill_flags() {
         let cmd = parse_args(&args(
             "run s.cm --input A=10x10 --instance m1.large --nodes 2 \
-             --memory-budget 1048576 --spill-dir /tmp/spill --prefetch-depth 8",
+             --memory-budget 1048576 --spill-dir /tmp/spill",
         ))
         .unwrap();
         match cmd {
             Command::Run {
                 memory_budget,
                 spill_dir,
-                prefetch_depth,
                 ..
             } => {
                 assert_eq!(memory_budget, 1_048_576);
                 assert_eq!(spill_dir.as_deref(), Some("/tmp/spill"));
-                assert_eq!(prefetch_depth, 8);
             }
             other => panic!("wrong command {other:?}"),
         }
-        // --spill-dir or --prefetch-depth without a budget, spill flags
-        // off `run`, and non-integer values all reject.
-        assert!(parse_args(&args(
-            "run s.cm --input A=1x1 --instance m1.large --nodes 2 --spill-dir /tmp/x"
-        ))
-        .is_err());
-        assert!(parse_args(&args(
-            "run s.cm --input A=1x1 --instance m1.large --nodes 2 --prefetch-depth 4"
-        ))
-        .is_err());
-        assert!(parse_args(&args(
-            "trace s.cm --input A=1x1 --instance m1.large --nodes 2 --memory-budget 1024"
-        ))
-        .is_err());
-        assert!(parse_args(&args(
-            "trace s.cm --input A=1x1 --instance m1.large --nodes 2 --prefetch-depth 4"
-        ))
-        .is_err());
-        assert!(parse_args(&args("plan s.cm --input A=1x1 --memory-budget 1024")).is_err());
-        assert!(parse_args(&args(
-            "run s.cm --input A=1x1 --instance m1.large --nodes 2 --memory-budget lots"
-        ))
-        .is_err());
-        assert!(parse_args(&args(
+        // --spill-dir without a budget, spill flags off `run`, and
+        // non-integer values all reject.
+        usage_err("run s.cm --input A=1x1 --instance m1.large --nodes 2 --spill-dir /tmp/x");
+        usage_err("trace s.cm --input A=1x1 --instance m1.large --nodes 2 --memory-budget 1024");
+        usage_err("plan s.cm --input A=1x1 --memory-budget 1024");
+        usage_err("run s.cm --input A=1x1 --instance m1.large --nodes 2 --memory-budget lots");
+    }
+
+    /// A retired flag is an unknown argument, reported as a usage error
+    /// like any other.
+    #[test]
+    fn retired_flag_is_an_unknown_argument() {
+        let msg = usage_err(
             "run s.cm --input A=1x1 --instance m1.large --nodes 2 \
-             --memory-budget 1024 --prefetch-depth deep"
-        ))
-        .is_err());
+             --memory-budget 1024 --prefetch-depth 4",
+        );
+        assert_eq!(msg, "unknown argument '--prefetch-depth'");
     }
 
     #[test]
@@ -1307,25 +1272,13 @@ mod tests {
         }
         // --bid without --spot, spot under a budget, --elastic on plan,
         // spot flags on trace/explain, and non-positive bids all reject.
-        assert!(parse_args(&args(
-            "run s.cm --input A=1x1 --instance m1.large --nodes 2 --bid 0.5"
-        ))
-        .is_err());
-        assert!(parse_args(&args("plan s.cm --input A=1x1 --budget 5 --spot")).is_err());
-        assert!(parse_args(&args("plan s.cm --input A=1x1 --spot --elastic")).is_err());
-        assert!(parse_args(&args(
-            "trace s.cm --input A=1x1 --instance m1.large --nodes 2 --spot"
-        ))
-        .is_err());
-        assert!(parse_args(&args("explain s.cm --input A=1x1 --elastic")).is_err());
-        assert!(parse_args(&args(
-            "run s.cm --input A=1x1 --instance m1.large --nodes 2 --spot --bid -0.2"
-        ))
-        .is_err());
-        assert!(parse_args(&args(
-            "run s.cm --input A=1x1 --instance m1.large --nodes 2 --elastic --trace t.json"
-        ))
-        .is_err());
+        usage_err("run s.cm --input A=1x1 --instance m1.large --nodes 2 --bid 0.5");
+        usage_err("plan s.cm --input A=1x1 --budget 5 --spot");
+        usage_err("plan s.cm --input A=1x1 --spot --elastic");
+        usage_err("trace s.cm --input A=1x1 --instance m1.large --nodes 2 --spot");
+        usage_err("explain s.cm --input A=1x1 --elastic");
+        usage_err("run s.cm --input A=1x1 --instance m1.large --nodes 2 --spot --bid -0.2");
+        usage_err("run s.cm --input A=1x1 --instance m1.large --nodes 2 --elastic --trace t.json");
     }
 
     #[test]
@@ -1356,7 +1309,7 @@ mod tests {
                 kernel_threads: 1,
             }
         );
-        assert!(parse_args(&args("trace s.cm --input A=1x1")).is_err());
+        usage_err("trace s.cm --input A=1x1");
     }
 
     #[test]
@@ -1375,8 +1328,8 @@ mod tests {
                 report: Some("out.json".into())
             }
         );
-        assert!(parse_args(&args("check --report")).is_err());
-        assert!(parse_args(&args("check --bogus")).is_err());
+        usage_err("check --report");
+        usage_err("check --bogus");
     }
 
     #[test]
@@ -1402,8 +1355,8 @@ mod tests {
                 json: Some("cal.json".into()),
             }
         );
-        assert!(parse_args(&args("calibrate --json")).is_err());
-        assert!(parse_args(&args("calibrate --bogus")).is_err());
+        usage_err("calibrate --json");
+        usage_err("calibrate --bogus");
         // --kernel-threads is also a run/trace flag.
         match parse_args(&args(
             "run s.cm --input A=1x1 --instance m1.large --nodes 2 --kernel-threads 4",
@@ -1510,24 +1463,35 @@ mod tests {
                 threads: 1,
             }
         );
-        assert!(parse_args(&args("serve --queue-depth 0")).is_err());
-        assert!(parse_args(&args("serve --run-workers")).is_err());
-        assert!(parse_args(&args("serve --bogus")).is_err());
+        usage_err("serve --queue-depth 0");
+        usage_err("serve --run-workers");
+        usage_err("serve --bogus");
     }
 
     #[test]
     fn parse_errors() {
-        assert!(parse_args(&args("plan")).is_err());
-        assert!(parse_args(&args("plan s.cm")).is_err()); // no inputs
-        assert!(parse_args(&args("run s.cm --input A=1x1")).is_err()); // no instance
-        assert!(parse_args(&args("plan s.cm --input A=1x1 --deadline 5 --budget 2")).is_err());
-        assert!(parse_args(&args("frobnicate s.cm --input A=1x1")).is_err());
-        assert!(parse_args(&args("plan s.cm --input A=1x1 --bogus 3")).is_err());
+        // No arguments at all prints the usage text, typed as a usage
+        // error rather than an internal one.
+        let err = parse_args(&[]).unwrap_err();
+        assert!(matches!(err, CoreError::Usage(_)), "{err:?}");
+        assert!(err.to_string().starts_with("usage: cumulon"), "{err}");
+        assert!(!err.to_string().contains("invariant violated"), "{err}");
+        assert!(usage_err("plan s.cm --input A=0x1").contains("bad input"));
+        usage_err("plan");
+        usage_err("plan s.cm"); // no inputs
+        usage_err("run s.cm --input A=1x1"); // no instance
+        usage_err("plan s.cm --input A=1x1 --deadline 5 --budget 2");
+        usage_err("frobnicate s.cm --input A=1x1");
+        usage_err("plan s.cm --input A=1x1 --bogus 3");
     }
 
+    /// Writes `content` to a script file of its own: tests run in
+    /// parallel and each removes its script when done.
     fn write_script(content: &str) -> std::path::PathBuf {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let mut path = std::env::temp_dir();
-        path.push(format!("cumulon_cli_test_{}.cm", std::process::id()));
+        path.push(format!("cumulon_cli_test_{}_{n}.cm", std::process::id()));
         let mut f = std::fs::File::create(&path).unwrap();
         f.write_all(content.as_bytes()).unwrap();
         path
@@ -1569,7 +1533,6 @@ mod tests {
                 kernel_threads: 1,
                 memory_budget: 0,
                 spill_dir: None,
-                prefetch_depth: 0,
             },
             &mut out,
         )
@@ -1582,14 +1545,12 @@ mod tests {
 
     /// `run --memory-budget` end to end with a budget far below the
     /// working set: the run spills, reports it, and produces the same
-    /// output norm as the unbounded run above. With `--prefetch-depth`
-    /// stacked on top, the output norm still may not move and the report
-    /// gains the prefetch line.
+    /// output norm as the unbounded run above.
     #[test]
     fn memory_budget_run_end_to_end() {
         let path = write_script("G = A' * A;");
         let script = path.to_str().unwrap().to_string();
-        let run = |budget: u64, prefetch: usize| {
+        let run = |budget: u64| {
             let mut out = Vec::new();
             execute(
                 &Command::Run {
@@ -1608,21 +1569,19 @@ mod tests {
                     kernel_threads: 1,
                     memory_budget: budget,
                     spill_dir: None,
-                    prefetch_depth: prefetch,
                 },
                 &mut out,
             )
             .unwrap();
             String::from_utf8(out).unwrap()
         };
-        let tight = run(2_048, 0);
+        let tight = run(2_048);
         assert!(
             tight.contains("spill  : resident tile budget 2048 B"),
             "{tight}"
         );
         assert!(tight.contains("eviction(s)"), "{tight}");
-        assert!(!tight.contains("prefetched"), "{tight}");
-        let unbounded = run(0, 0);
+        let unbounded = run(0);
         let norm = |t: &str| {
             t.lines()
                 .find(|l| l.contains("output G"))
@@ -1630,13 +1589,6 @@ mod tests {
                 .unwrap()
         };
         assert_eq!(norm(&tight), norm(&unbounded), "spill changed the result");
-        let prefetched = run(2_048, 4);
-        assert!(prefetched.contains("tile(s) prefetched"), "{prefetched}");
-        assert_eq!(
-            norm(&prefetched),
-            norm(&unbounded),
-            "prefetch changed the result"
-        );
         std::fs::remove_file(path).ok();
     }
 
@@ -1665,7 +1617,6 @@ mod tests {
                 kernel_threads: 1,
                 memory_budget: 0,
                 spill_dir: None,
-                prefetch_depth: 0,
             },
             &mut out,
         )

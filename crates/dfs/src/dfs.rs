@@ -733,47 +733,15 @@ impl Dfs {
         self.state.lock().spill.as_ref().map(SpillPlane::stats)
     }
 
-    /// The installed spill plane's resident-byte budget, if any.
-    pub fn memory_budget(&self) -> Option<u64> {
-        self.state
-            .lock()
-            .spill
-            .as_ref()
-            .map(SpillPlane::budget_bytes)
-    }
-
     /// True when `path` is currently demoted to the spill plane's blob
     /// store — reading it now would pay a synchronous decode-and-readback.
-    /// Always `false` without a plane (everything is RAM-resident). The
-    /// scheduler's residency oracle.
+    /// Always `false` without a plane (everything is RAM-resident).
     pub fn is_spilled(&self, path: &str) -> bool {
         self.state
             .lock()
             .spill
             .as_ref()
             .is_some_and(|p| p.is_spilled(path))
-    }
-
-    /// Re-admits `path` ahead of demand if it is currently demoted,
-    /// marking it prefetched so the next canonical read credits
-    /// `readback_bytes_avoided`. Returns the wire bytes readmitted (`0`
-    /// when the path is not spilled — including when no plane is
-    /// installed). Transparent by construction: re-admission produces no
-    /// receipt, draws no placement RNG, and advances no simulated time —
-    /// only where the payload physically lives changes.
-    pub fn prefetch_path(&self, path: &str) -> Result<u64> {
-        let mut st = self.state.lock();
-        let Some(entry) = st.spill.as_ref().and_then(|p| p.spilled(path)) else {
-            return Ok(0);
-        };
-        Self::readmit_path(&mut st, path, entry.key)?;
-        if let Some(plane) = st.spill.as_mut() {
-            plane.record_prefetched(path, entry.wire_len);
-        }
-        // Early admission must not breach the budget: demote colder files
-        // now (the prefetched file is the hottest entry, so it survives).
-        Self::enforce_budget(&mut st)?;
-        Ok(entry.wire_len)
     }
 
     /// Compacts the blob store's sealed segments, returning the number of

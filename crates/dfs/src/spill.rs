@@ -80,14 +80,6 @@ pub struct SpillStats {
     pub spilled_bytes_total: u64,
     /// Wire bytes read back from disk (monotonic).
     pub readback_bytes_total: u64,
-    /// Files re-admitted ahead of demand by scheduler prefetch
-    /// (monotonic; a subset of `readmissions`).
-    pub prefetched_files: u64,
-    /// Wire bytes whose synchronous, in-task readback was avoided because
-    /// a prefetched tile was still resident when the canonical read
-    /// arrived (monotonic). `readback_bytes_total - readback_bytes_avoided`
-    /// approximates the readback volume paid on the task critical path.
-    pub readback_bytes_avoided: u64,
     /// Blob-store counters (segments, dedup hits, compactions).
     pub blob: BlobStats,
 }
@@ -125,17 +117,10 @@ pub struct SpillPlane {
     resident_bytes: u64,
     seq: u64,
     spilled: HashMap<String, SpilledFile>,
-    /// Resident paths that were re-admitted by prefetch and have not yet
-    /// been claimed by a canonical read: path → wire length at prefetch
-    /// time. A marker is dropped without credit when the path is evicted
-    /// or forgotten before any read arrives.
-    prefetched: HashMap<String, u64>,
     evictions: u64,
     readmissions: u64,
     spilled_bytes_total: u64,
     readback_bytes_total: u64,
-    prefetched_files: u64,
-    readback_bytes_avoided: u64,
 }
 
 impl SpillPlane {
@@ -151,13 +136,10 @@ impl SpillPlane {
             resident_bytes: 0,
             seq: 0,
             spilled: HashMap::new(),
-            prefetched: HashMap::new(),
             evictions: 0,
             readmissions: 0,
             spilled_bytes_total: 0,
             readback_bytes_total: 0,
-            prefetched_files: 0,
-            readback_bytes_avoided: 0,
         })
     }
 
@@ -202,43 +184,26 @@ impl SpillPlane {
         displaced
     }
 
-    /// Refreshes recency of a resident path (reads). If the path carries
-    /// an unclaimed prefetch marker, the read claims it: the wire bytes
-    /// the reader would otherwise have read back synchronously are
-    /// credited to `readback_bytes_avoided`.
+    /// Refreshes recency of a resident path (reads).
     pub fn touch(&mut self, path: &str) {
         if let Some((seq, bytes)) = self.resident.get(path).copied() {
             self.seq += 1;
             self.order.remove(&seq);
             self.order.insert(self.seq, path.to_string());
             self.resident.insert(path.to_string(), (self.seq, bytes));
-            if let Some(wire_len) = self.prefetched.remove(path) {
-                self.readback_bytes_avoided += wire_len;
-            }
         }
     }
 
     /// True when `path` is currently tracked as resident (its decoded
-    /// payload is pinned in RAM). The scheduler's residency oracle.
+    /// payload is pinned in RAM).
     pub fn is_resident(&self, path: &str) -> bool {
         self.resident.contains_key(path)
     }
 
-    /// True when `path` is currently demoted to the blob store. The
-    /// scheduler's prefetch oracle: reading such a path pays a readback.
+    /// True when `path` is currently demoted to the blob store: reading
+    /// it pays a readback.
     pub fn is_spilled(&self, path: &str) -> bool {
         self.spilled.contains_key(path)
-    }
-
-    /// Marks a just-readmitted `path` as prefetched: re-admission ran
-    /// ahead of demand (scheduler prefetch), not on a task's read path.
-    /// The marker is claimed by the next read ([`SpillPlane::touch`]) and
-    /// dropped without credit on eviction or forget.
-    pub fn record_prefetched(&mut self, path: &str, wire_len: u64) {
-        if self.resident.contains_key(path) {
-            self.prefetched.insert(path.to_string(), wire_len);
-            self.prefetched_files += 1;
-        }
     }
 
     /// True when resident bytes exceed the budget.
@@ -257,9 +222,6 @@ impl SpillPlane {
         let path = self.order.remove(&seq)?;
         let (_, bytes) = self.resident.remove(&path).expect("ordered => resident");
         self.resident_bytes -= bytes;
-        // A prefetched tile evicted before any read claimed it saved
-        // nothing — drop the marker without credit.
-        self.prefetched.remove(&path);
         Some(path)
     }
 
@@ -280,7 +242,6 @@ impl SpillPlane {
             self.order.remove(&seq);
             self.resident_bytes -= bytes;
         }
-        self.prefetched.remove(path);
         let displaced = self
             .spilled
             .insert(path.to_string(), SpilledFile { key, wire_len });
@@ -317,7 +278,6 @@ impl SpillPlane {
             self.order.remove(&seq);
             self.resident_bytes -= bytes;
         }
-        self.prefetched.remove(path);
         self.spilled.remove(path)
     }
 
@@ -345,17 +305,14 @@ impl SpillPlane {
             readmissions: self.readmissions,
             spilled_bytes_total: self.spilled_bytes_total,
             readback_bytes_total: self.readback_bytes_total,
-            prefetched_files: self.prefetched_files,
-            readback_bytes_avoided: self.readback_bytes_avoided,
             blob: self.blob.stats(),
         }
     }
 
     /// Internal-consistency audit, used by the interleaving tests: no
     /// path may be tracked as resident and spilled at once, the byte
-    /// charge must equal the sum of per-path charges, the LRU order map
-    /// must mirror the resident map exactly, and prefetch markers may
-    /// only annotate resident paths.
+    /// charge must equal the sum of per-path charges, and the LRU order
+    /// map must mirror the resident map exactly.
     pub fn check_invariants(&self) -> std::result::Result<(), String> {
         for path in self.resident.keys() {
             if self.spilled.contains_key(path) {
@@ -380,11 +337,6 @@ impl SpillPlane {
             match self.resident.get(path) {
                 Some((s, _)) if s == seq => {}
                 _ => return Err(format!("order entry {seq}->{path} not mirrored")),
-            }
-        }
-        for path in self.prefetched.keys() {
-            if !self.resident.contains_key(path) {
-                return Err(format!("prefetch marker on non-resident {path}"));
             }
         }
         Ok(())
@@ -488,62 +440,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_marker_is_claimed_exactly_once() {
-        let mut p = plane(100);
-        admit(&mut p, "/a", 120);
-        let evicted = p.next_eviction().unwrap();
-        assert!(p
-            .record_spilled(&evicted, BlobKey::digest(b"a"), 96)
-            .is_none());
-        // Prefetch readmits the tile ahead of demand.
-        assert!(p.record_readmitted("/a", 120).is_some());
-        p.record_prefetched("/a", 96);
-        assert_eq!(p.stats().prefetched_files, 1);
-        assert_eq!(p.stats().readback_bytes_avoided, 0, "not yet claimed");
-        // The canonical read claims the marker once.
-        p.touch("/a");
-        assert_eq!(p.stats().readback_bytes_avoided, 96);
-        p.touch("/a");
-        assert_eq!(p.stats().readback_bytes_avoided, 96, "claimed once");
-        p.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn prefetch_marker_dropped_without_credit_on_churn() {
-        let mut p = plane(100);
-        admit(&mut p, "/a", 120);
-        let evicted = p.next_eviction().unwrap();
-        assert!(p
-            .record_spilled(&evicted, BlobKey::digest(b"a"), 96)
-            .is_none());
-        assert!(p.record_readmitted("/a", 120).is_some());
-        p.record_prefetched("/a", 96);
-        // Re-evicted before any read claimed the prefetch: no credit.
-        let evicted = p.next_eviction().unwrap();
-        assert!(p
-            .record_spilled(&evicted, BlobKey::digest(b"a"), 96)
-            .is_none());
-        assert_eq!(p.stats().readback_bytes_avoided, 0);
-        // Readmit (canonically this time) and forget before reading: the
-        // second prefetch marker also dies without credit.
-        assert!(p.record_readmitted("/a", 120).is_some());
-        p.record_prefetched("/a", 96);
-        assert!(p.forget("/a").is_none());
-        p.touch("/a");
-        assert_eq!(p.stats().readback_bytes_avoided, 0);
-        assert_eq!(p.stats().prefetched_files, 2);
-        p.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn prefetch_marker_requires_residency() {
-        let mut p = plane(100);
-        p.record_prefetched("/ghost", 64);
-        assert_eq!(p.stats().prefetched_files, 0);
-        p.check_invariants().unwrap();
-    }
-
-    #[test]
     fn overwrite_of_spilled_path_displaces_the_stale_entry() {
         let mut p = plane(10);
         admit(&mut p, "/a", 50);
@@ -573,17 +469,15 @@ mod tests {
     }
 
     /// Satellite audit: arbitrary interleavings of admit / touch / evict+
-    /// spill / readmit / prefetch / forget keep the plane internally
-    /// consistent — no path in both maps, no budget-charge drift, no
-    /// readback-avoided credit without a prior unclaimed prefetch.
+    /// spill / readmit / forget keep the plane internally consistent — no
+    /// path in both maps, no budget-charge drift.
     #[derive(Debug, Clone)]
     enum Op {
         Note(u8, u64),
         Touch(u8),
         EvictAndSpill,
-        /// Readmit a spilled path; `true` models a prefetch (readmit ahead
-        /// of demand, then mark — the only contract-valid way to mark).
-        Readmit(u8, bool),
+        /// Readmit a spilled path.
+        Readmit(u8),
         Forget(u8),
     }
 
@@ -592,7 +486,7 @@ mod tests {
             (0u8..6, 1u64..200).prop_map(|(p, b)| Op::Note(p, b)),
             (0u8..6).prop_map(Op::Touch),
             Just(Op::EvictAndSpill),
-            (0u8..6, any::<bool>()).prop_map(|(p, pf)| Op::Readmit(p, pf)),
+            (0u8..6).prop_map(Op::Readmit),
             (0u8..6).prop_map(Op::Forget),
         ]
     }
@@ -621,12 +515,9 @@ mod tests {
                             );
                         }
                     }
-                    Op::Readmit(i, as_prefetch) => {
+                    Op::Readmit(i) => {
                         if p.is_spilled(&path(i)) {
                             prop_assert!(p.record_readmitted(&path(i), 64).is_some());
-                            if as_prefetch {
-                                p.record_prefetched(&path(i), 64);
-                            }
                         }
                     }
                     Op::Forget(i) => {
@@ -635,7 +526,6 @@ mod tests {
                 }
                 p.check_invariants().map_err(TestCaseError::fail)?;
                 let st = p.stats();
-                prop_assert!(st.readback_bytes_avoided <= st.readback_bytes_total);
                 prop_assert_eq!(
                     st.spilled_wire_bytes,
                     st.spilled_files * 64,

@@ -488,40 +488,6 @@ impl TileStore {
         self.dfs.is_local(&Self::tile_path(name, ti, tj), node)
     }
 
-    /// Whether a read of tile `(ti, tj)` of `name` would pay a
-    /// synchronous decode-and-readback right now: the tile is demoted to
-    /// the spill plane *and* no decoded copy survives in the tile cache
-    /// (a cached `Arc` serves a spilled file without touching disk).
-    /// Always `false` without a memory budget. The scheduler's residency
-    /// oracle.
-    pub fn tile_is_spilled(&self, name: &str, ti: usize, tj: usize) -> bool {
-        let path = Self::tile_path(name, ti, tj);
-        self.dfs.is_spilled(&path) && self.cache.get(&path).is_none()
-    }
-
-    /// Re-admits tile `(ti, tj)` of `name` from the spill plane ahead of
-    /// demand, returning the wire bytes readmitted (`0` when a read would
-    /// not have paid a readback anyway — tile not spilled, or still
-    /// served by the decoded-tile cache). The cache itself is untouched:
-    /// the canonical read path performs its own (cache-counter-visible)
-    /// admission, so cache hit/miss accounting is identical with
-    /// prefetching on or off.
-    pub fn prefetch_tile(&self, name: &str, ti: usize, tj: usize) -> Result<u64> {
-        let path = Self::tile_path(name, ti, tj);
-        if self.cache.get(&path).is_some() {
-            return Ok(0);
-        }
-        self.dfs.prefetch_path(&path)
-    }
-
-    /// The underlying DFS's resident-byte budget, if a spill plane is
-    /// installed. Prefetchers use this to self-limit: staging more than a
-    /// fraction of the budget ahead of demand evicts the very tiles it
-    /// just readmitted (prefetch thrash).
-    pub fn memory_budget(&self) -> Option<u64> {
-        self.dfs.memory_budget()
-    }
-
     /// Re-persists every tile of a matrix at the given replication factor
     /// (a *checkpoint*: iterative drivers call this every k iterations so
     /// the iterate survives node deaths that would defeat lineage

@@ -49,10 +49,7 @@ impl TraceLog {
     /// * `cumulon` — run metadata: `instance`, `nodes`, `slots`,
     ///   `makespan_s`, `cache_hits`, `cache_misses`, an optional
     ///   `request_id` (present only for `cumulon serve` runs, see
-    ///   [`crate::Trace::set_request_id`]), an optional
-    ///   `spill_readback_avoided_bytes` (present only when scheduler
-    ///   prefetch avoided readbacks, see
-    ///   [`crate::Trace::spill_readback_avoided`]), and the aggregated
+    ///   [`crate::Trace::set_request_id`]), and the aggregated
     ///   `phases` object
     ///   (`compute_s`/`read_s`/`write_s`/`startup_s`/`overhead_s`);
     /// * `traceEvents` — `"M"` process/thread-name metadata, one `"X"`
@@ -78,15 +75,6 @@ impl TraceLog {
         // byte-identical to pre-service golden files.
         if let Some(rid) = &self.request_id {
             let _ = write!(out, "\"request_id\":\"{}\",", escape(rid));
-        }
-        // Emitted only when nonzero so runs without prefetch stay
-        // byte-identical to earlier golden files.
-        if self.spill_readback_avoided_bytes > 0 {
-            let _ = write!(
-                out,
-                "\"spill_readback_avoided_bytes\":{},",
-                self.spill_readback_avoided_bytes
-            );
         }
         out.push_str("\"phases\":{");
         phase_args(&mut out, &self.phase_totals());

@@ -275,10 +275,6 @@ pub struct TraceLog {
     /// Tile-cache misses observed on the canonical execution path.
     /// Parallelism-sensitive: see the crate-level determinism contract.
     pub cache_misses: u64,
-    /// Spill-plane wire bytes whose synchronous readback was avoided by
-    /// scheduler prefetch (tiles readmitted ahead of demand and claimed
-    /// by a later read). Parallelism-sensitive, like the cache counters.
-    pub spill_readback_avoided_bytes: u64,
 }
 
 impl TraceLog {
@@ -317,7 +313,6 @@ struct TraceInner {
     buf: Mutex<Buf>,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
-    spill_readback_avoided_bytes: AtomicU64,
 }
 
 thread_local! {
@@ -392,7 +387,6 @@ impl Trace {
                 }),
                 cache_hits: AtomicU64::new(0),
                 cache_misses: AtomicU64::new(0),
-                spill_readback_avoided_bytes: AtomicU64::new(0),
             })),
         }
     }
@@ -505,20 +499,6 @@ impl Trace {
         }
     }
 
-    /// Credits `bytes` of spill readback avoided by prefetch (no-op when
-    /// disabled or suppressed). Attributed run-wide, like the cache
-    /// counters: the saving shows up in the phase report's read lane, not
-    /// per span.
-    pub fn spill_readback_avoided(&self, bytes: u64) {
-        if let Some(inner) = &self.inner {
-            if !suppressed() {
-                inner
-                    .spill_readback_avoided_bytes
-                    .fetch_add(bytes, Ordering::Relaxed);
-            }
-        }
-    }
-
     /// Snapshots the recorded spans into a [`TraceLog`]. Returns `None`
     /// for a disabled handle. The buffer is cloned, not drained, so the
     /// handle stays usable (e.g. for further recovery rounds).
@@ -537,9 +517,6 @@ impl Trace {
             request_id: buf.request_id.clone(),
             cache_hits: inner.cache_hits.load(Ordering::Relaxed),
             cache_misses: inner.cache_misses.load(Ordering::Relaxed),
-            spill_readback_avoided_bytes: inner
-                .spill_readback_avoided_bytes
-                .load(Ordering::Relaxed),
         })
     }
 }
