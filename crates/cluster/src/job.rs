@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use cumulon_dfs::dfs::NodeId;
-use cumulon_dfs::{IoReceipt, TileStore};
+use cumulon_dfs::{IoReceipt, TileStore, TileVersion};
 use cumulon_matrix::ops::Work;
 use cumulon_matrix::Tile;
 
@@ -83,15 +83,26 @@ pub struct StagedWrite {
     pub stored_bytes: u64,
 }
 
+/// Where a recorded tile read got its tile.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadSource {
+    /// The task's own staged write (read-your-own-writes).
+    Staged,
+    /// The tile store, at the content version the read observed.
+    Store(TileVersion),
+}
+
 /// One operation recorded by a recording [`TaskCtx`] (see
 /// [`TaskCtx::new_recording`]). A speculative execution logs every
 /// context interaction in program order; replaying the log against a fresh
 /// context at the canonical time reproduces the exact receipt — including
 /// f64 accumulation order — the task would have produced had it run then,
-/// as long as every replayed read still returns the recorded tile.
+/// as long as every replayed read would still return the recorded tile.
 #[derive(Clone)]
 pub enum TaskOp {
-    /// A successful tile read and the handle it returned.
+    /// A successful tile read: what a replay needs to charge it again
+    /// from metadata ([`TaskCtx::replay_read`]), but not the tile itself,
+    /// so a log never pins an input tile in memory.
     Read {
         /// Source matrix name.
         matrix: String,
@@ -99,8 +110,12 @@ pub enum TaskOp {
         ti: usize,
         /// Tile column index.
         tj: usize,
-        /// The tile the recording read returned (for replay validation).
-        tile: Arc<Tile>,
+        /// Where the tile came from, with its content version.
+        source: ReadSource,
+        /// Stored size of the tile read.
+        stored_bytes: u64,
+        /// Cell count (`rows × cols`) of the tile read.
+        cells: usize,
     },
     /// A successful tile write.
     Write {
@@ -220,44 +235,104 @@ impl TaskCtx {
         // a committed-then-read-back tile would produce (the writer-local
         // replica is always placed first and read first, so the read is
         // fully local).
-        if let WriteMode::Deferred(staged) = &self.writes {
-            if let Some(w) = staged
+        let (tile, source, io) = match self.staged(matrix, ti, tj) {
+            Some(w) => (
+                Arc::clone(&w.tile),
+                ReadSource::Staged,
+                Self::staged_receipt(w.stored_bytes),
+            ),
+            None => {
+                let phantom = self.mode == ExecMode::Simulated;
+                let (tile, io, version) =
+                    self.store
+                        .read_tile_versioned(matrix, ti, tj, Some(self.node), phantom)?;
+                (tile, ReadSource::Store(version), io)
+            }
+        };
+        // Tiles read are resident for the task's lifetime; charge their
+        // *dense logical* footprint when the tile participates in dense
+        // kernels and its stored size otherwise.
+        let (stored_bytes, cells) = (tile.stored_bytes(), tile.rows() * tile.cols());
+        self.charge_read(source, io, stored_bytes, cells);
+        if let Some(ops) = &mut self.ops {
+            ops.push(TaskOp::Read {
+                matrix: matrix.to_string(),
+                ti,
+                tj,
+                source,
+                stored_bytes,
+                cells,
+            });
+        }
+        Ok(tile)
+    }
+
+    /// Charges a recorded read ([`TaskOp::Read`]) exactly as
+    /// [`TaskCtx::read_tile`] would charge it now, from metadata alone: no
+    /// tile is read, decoded, re-admitted or generated. Returns `false`
+    /// when the read cannot be replayed — the recorded version no longer
+    /// holds, or the read fails (e.g. [`ClusterError::BlockLost`]) — and
+    /// the task must run inline instead.
+    pub fn replay_read(
+        &mut self,
+        matrix: &str,
+        ti: usize,
+        tj: usize,
+        source: ReadSource,
+        stored_bytes: u64,
+        cells: usize,
+    ) -> bool {
+        let io = match source {
+            ReadSource::Staged => match self.staged(matrix, ti, tj) {
+                Some(w) if w.stored_bytes == stored_bytes => Self::staged_receipt(stored_bytes),
+                _ => return false,
+            },
+            ReadSource::Store(version) => {
+                let phantom = self.mode == ExecMode::Simulated;
+                match self.store.replay_read(
+                    matrix,
+                    ti,
+                    tj,
+                    Some(self.node),
+                    phantom,
+                    version,
+                    stored_bytes,
+                ) {
+                    Ok(Some(io)) => io,
+                    Ok(None) | Err(_) => return false,
+                }
+            }
+        };
+        self.charge_read(source, io, stored_bytes, cells);
+        true
+    }
+
+    /// The latest staged write of tile `(ti, tj)` of `matrix`, if any.
+    fn staged(&self, matrix: &str, ti: usize, tj: usize) -> Option<&StagedWrite> {
+        match &self.writes {
+            WriteMode::Deferred(staged) => staged
                 .iter()
                 .rev()
-                .find(|w| w.matrix == matrix && w.ti == ti && w.tj == tj)
-            {
-                let stored = w.stored_bytes;
-                let tile = Arc::clone(&w.tile);
-                let io = IoReceipt {
-                    bytes: stored,
-                    local_bytes: stored,
-                    remote_bytes: 0,
-                };
-                self.receipt.read = self.receipt.read.add(io);
-                if io != IoReceipt::default() {
-                    self.receipt.io_ops += 1;
-                }
-                self.receipt.mem_mb += stored as f64 / 1e6;
-                if let Some(ops) = &mut self.ops {
-                    ops.push(TaskOp::Read {
-                        matrix: matrix.to_string(),
-                        ti,
-                        tj,
-                        tile: Arc::clone(&tile),
-                    });
-                }
-                return Ok(tile);
-            }
+                .find(|w| w.matrix == matrix && w.ti == ti && w.tj == tj),
+            WriteMode::Direct => None,
         }
-        let phantom = self.mode == ExecMode::Simulated;
-        let (tile, io) = self
-            .store
-            .read_tile(matrix, ti, tj, Some(self.node), phantom)?;
-        if io == IoReceipt::default() && self.store.lookup(matrix)?.generator.is_some() {
+    }
+
+    fn staged_receipt(stored: u64) -> IoReceipt {
+        IoReceipt {
+            bytes: stored,
+            local_bytes: stored,
+            remote_bytes: 0,
+        }
+    }
+
+    /// The receipt side of one tile read, shared by [`TaskCtx::read_tile`]
+    /// and [`TaskCtx::replay_read`] so both accumulate in the same order.
+    fn charge_read(&mut self, source: ReadSource, io: IoReceipt, stored_bytes: u64, cells: usize) {
+        if let ReadSource::Store(TileVersion::Generated(_)) = source {
             // Generating a tile costs ~a few flops per cell of RNG work.
-            let cells = (tile.rows() * tile.cols()) as f64;
             self.receipt.work = self.receipt.work.add(Work {
-                flops: GEN_FLOPS_PER_CELL * cells,
+                flops: GEN_FLOPS_PER_CELL * cells as f64,
                 bytes_in: 0.0,
                 bytes_out: 0.0,
             });
@@ -266,19 +341,7 @@ impl TaskCtx {
         if io != IoReceipt::default() {
             self.receipt.io_ops += 1;
         }
-        // Tiles read are resident for the task's lifetime; charge their
-        // *dense logical* footprint when the tile participates in dense
-        // kernels and its stored size otherwise.
-        self.receipt.mem_mb += tile.stored_bytes() as f64 / 1e6;
-        if let Some(ops) = &mut self.ops {
-            ops.push(TaskOp::Read {
-                matrix: matrix.to_string(),
-                ti,
-                tj,
-                tile: Arc::clone(&tile),
-            });
-        }
-        Ok(tile)
+        self.receipt.mem_mb += stored_bytes as f64 / 1e6;
     }
 
     /// Writes an output tile, charging I/O and memory. Accepts an owned
@@ -643,11 +706,16 @@ mod tests {
         assert!(Arc::ptr_eq(&back, &t));
         let ops = c.into_ops();
         assert_eq!(ops.len(), 4);
-        assert!(matches!(&ops[0], TaskOp::Read { matrix, tile, .. }
-            if matrix == "A" && Arc::ptr_eq(tile, &t)));
+        assert!(
+            matches!(&ops[0], TaskOp::Read { matrix, source: ReadSource::Store(_),
+            stored_bytes, cells: 16, .. } if matrix == "A" && *stored_bytes == t.stored_bytes())
+        );
         assert!(matches!(&ops[1], TaskOp::Charge(w) if w.flops == 7.0));
         assert!(matches!(&ops[2], TaskOp::Write { matrix, .. } if matrix == "B"));
-        assert!(matches!(&ops[3], TaskOp::Read { matrix, .. } if matrix == "B"));
+        assert!(
+            matches!(&ops[3], TaskOp::Read { matrix, source: ReadSource::Staged, .. }
+            if matrix == "B")
+        );
     }
 
     #[test]

@@ -17,12 +17,14 @@
 //! context interaction ([`crate::job::TaskOp`]) without touching the DFS.
 //! When the DES loop later assigns the task to a slot, the recorded log is
 //! *replayed* against a fresh context bound to the real node: replayed
-//! reads recompute canonical receipts and are validated against the
-//! recorded tiles (`Arc` identity or deep equality); any mismatch or error
-//! discards the speculation and the task runs inline at canonical time,
-//! which is always sound. Replay preserves the exact operation order —
-//! including f64 accumulation order — so results, receipts, reports, and
-//! placement RNG draws are bitwise-identical at any thread count.
+//! reads recompute canonical receipts from DFS metadata alone and are
+//! validated by the content version each recorded read observed (a file's
+//! first block id, a generated matrix's registration serial), so the DES
+//! loop never touches tile data; a stale version or a read error discards
+//! the speculation and the task runs inline at canonical time, which is
+//! always sound. Replay preserves the exact operation order — including
+//! f64 accumulation order — so results, receipts, reports, and placement
+//! RNG draws are bitwise-identical at any thread count.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -1026,10 +1028,11 @@ impl<'a> Exec<'a> {
 
     /// Replays a recorded operation log against a fresh context bound to
     /// the assignment's real node, reproducing the exact receipts and
-    /// accumulation order an inline run would produce. Reads are
-    /// re-performed (recomputing canonical read receipts) and validated
-    /// against the recorded tiles; any divergence or error returns `None`
-    /// and the caller falls back to inline execution.
+    /// accumulation order an inline run would produce. Reads are charged
+    /// from DFS metadata ([`TaskCtx::replay_read`]) and validated by the
+    /// content version the recording saw, never by reading tile data; a
+    /// stale version or a read error returns `None` and the caller falls
+    /// back to inline execution.
     fn try_replay(&self, e: &WaveEntry, ops: Vec<TaskOp>) -> Option<ExecOutcome> {
         let mut ctx = TaskCtx::new_deferred(self.sched.store.clone(), NodeId(e.node), self.mode);
         for op in ops {
@@ -1038,10 +1041,11 @@ impl<'a> Exec<'a> {
                     matrix,
                     ti,
                     tj,
-                    tile,
+                    source,
+                    stored_bytes,
+                    cells,
                 } => {
-                    let got = ctx.read_tile(&matrix, ti, tj).ok()?;
-                    if !(Arc::ptr_eq(&got, &tile) || *got == *tile) {
+                    if !ctx.replay_read(&matrix, ti, tj, source, stored_bytes, cells) {
                         return None;
                     }
                 }
@@ -2393,5 +2397,217 @@ mod speculation_tests {
             with_locality > 0.9,
             "locality scheduling should place most tasks locally"
         );
+    }
+}
+
+/// Data-free replay: a recorded read is charged from DFS metadata and
+/// accepted only while the content version it saw still holds. Each test
+/// hands the DES loop a recording made before some store change, so the
+/// replay meets that change deterministically at assignment.
+#[cfg(test)]
+mod replay_tests {
+    use super::*;
+    use crate::cluster::Cluster;
+    use crate::job::{Job, Task};
+    use cumulon_dfs::{DfsConfig, SpillConfig};
+    use cumulon_matrix::{DenseTile, LocalMatrix, MatrixMeta, Tile};
+
+    /// Three single-slot nodes at the given replication, with a 4x4 `A`
+    /// whose one tile lives on node 2, and an empty `B` of the same shape.
+    fn setup(replication: usize) -> Cluster {
+        let c = Cluster::provision_with(
+            ClusterSpec::named("m1.large", 3, 1).unwrap(),
+            HardwareModel::default(),
+            DfsConfig {
+                replication,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let meta = MatrixMeta::new(4, 4, 4);
+        c.store().register("A", meta).unwrap();
+        let a = DenseTile::from_fn(4, 4, |i, j| (i * 4 + j) as f64 - 5.5);
+        c.store()
+            .write_tile("A", 0, 0, &Tile::dense(a), Some(NodeId(2)))
+            .unwrap();
+        c.store().register("B", meta).unwrap();
+        c
+    }
+
+    /// One task: `B = 2A`, counting how often its logic runs.
+    fn doubler(runs: &Arc<AtomicUsize>) -> JobDag {
+        let runs = Arc::clone(runs);
+        let task = Task::new(move |ctx| {
+            runs.fetch_add(1, Ordering::Relaxed);
+            let a = ctx.read_tile("A", 0, 0)?;
+            let mut b = (*a).clone();
+            b.scale(2.0);
+            ctx.write_tile("B", 0, 0, b)?;
+            Ok(())
+        });
+        let mut dag = JobDag::new();
+        dag.push(Job::new("double", "scale", vec![task]), vec![]);
+        dag
+    }
+
+    /// Records job 0 / task 0 against the store as it is now, exactly as
+    /// a lookahead worker would.
+    fn record(c: &Cluster, dag: &JobDag) -> Vec<TaskOp> {
+        let mut ctx = TaskCtx::new_recording(c.store().clone(), ExecMode::Real);
+        (dag.jobs[0].tasks[0].run)(&mut ctx).unwrap();
+        ctx.into_ops()
+    }
+
+    /// Runs `dag` at two worker threads with `ops` as job 0 / task 0's
+    /// lookahead recording: the DES loop replays exactly this log.
+    #[allow(clippy::result_large_err)]
+    fn run_with_recording(
+        c: &Cluster,
+        dag: &JobDag,
+        ops: Vec<TaskOp>,
+    ) -> std::result::Result<RunReport, RunFailure> {
+        let sched = Scheduler::new(c.spec(), c.store().clone(), *c.hardware(), c.billing());
+        let failures = FailurePlan::default();
+        let config = SchedulerConfig::default().with_threads(2);
+        let mut exec = Exec::new(
+            &sched,
+            dag,
+            ExecMode::Real,
+            config,
+            &failures,
+            2,
+            Trace::disabled(),
+        );
+        let lease = exec.pool.as_ref().expect("two threads lease a pool");
+        lease.pool.state.0.lock().results.insert(
+            (lease.lease, 0, 0),
+            SpecSlot::Done(Ok(Recorded { ops, error: None })),
+        );
+        // Job 0 counts as handed to the pool, so no worker records it anew.
+        exec.spec_enqueued[0] = true;
+        match exec.drive(&mut EventQueue::new()) {
+            Ok(()) => Ok(exec.report()),
+            Err(error) => Err(exec.into_failure(error)),
+        }
+    }
+
+    #[allow(clippy::result_large_err)]
+    fn run_sequential(c: &Cluster, dag: &JobDag) -> std::result::Result<RunReport, RunFailure> {
+        c.try_run_with(
+            dag,
+            ExecMode::Real,
+            SchedulerConfig::default().with_threads(1),
+            &FailurePlan::default(),
+        )
+    }
+
+    fn output(c: &Cluster) -> LocalMatrix {
+        c.store().get_local("B").unwrap()
+    }
+
+    /// A file rewritten between recording and replay is refused even when
+    /// its content is unchanged (a checkpoint), and when it is not (an
+    /// overwrite): the task runs inline and matches the sequential run.
+    #[test]
+    fn rewritten_file_refuses_replay_and_runs_inline() {
+        let rewrite = |c: &Cluster, what: &str| {
+            if what == "checkpoint" {
+                c.store().checkpoint_matrix("A", 3).unwrap();
+            } else {
+                let t = Tile::dense(DenseTile::from_fn(4, 4, |i, j| (i + j) as f64));
+                c.store()
+                    .write_tile("A", 0, 0, &t, Some(NodeId(1)))
+                    .unwrap();
+            }
+        };
+        for what in ["checkpoint", "overwrite"] {
+            let runs = Arc::new(AtomicUsize::new(0));
+            let dag = doubler(&runs);
+            let c = setup(2);
+            let ops = record(&c, &dag);
+            rewrite(&c, what);
+            let replayed = run_with_recording(&c, &dag, ops).unwrap();
+            assert_eq!(
+                runs.load(Ordering::Relaxed),
+                2,
+                "{what}: the refused replay fell back to one inline run"
+            );
+            let reference = setup(2);
+            rewrite(&reference, what);
+            let sequential = run_sequential(&reference, &dag).unwrap();
+            assert_eq!(replayed.fingerprint(), sequential.fingerprint(), "{what}");
+            assert_eq!(output(&c), output(&reference), "{what}");
+        }
+    }
+
+    /// Replaying a read of a tile the budget has demoted to disk charges
+    /// it without re-admitting it; the sequential run does re-admit.
+    #[test]
+    fn demoted_tile_replays_without_readmission() {
+        let runs = Arc::new(AtomicUsize::new(0));
+        let dag = doubler(&runs);
+        let run = |replay: bool| {
+            let c = setup(2);
+            let ops = record(&c, &dag);
+            c.store()
+                .set_memory_budget(&SpillConfig::budgeted(1))
+                .unwrap();
+            assert!(c.store().dfs().is_spilled("/matrix/A/0_0"));
+            let before = c.store().dfs().spill_stats().unwrap().readmissions;
+            let report = if replay {
+                run_with_recording(&c, &dag, ops)
+            } else {
+                run_sequential(&c, &dag)
+            }
+            .unwrap();
+            let readmitted = c.store().dfs().spill_stats().unwrap().readmissions - before;
+            (report.fingerprint(), readmitted, output(&c))
+        };
+        let (fp, readmitted, out) = run(true);
+        assert_eq!(runs.load(Ordering::Relaxed), 1, "the replay was accepted");
+        assert_eq!(readmitted, 0, "replay must not re-admit the demoted tile");
+        let (seq_fp, seq_readmitted, seq_out) = run(false);
+        assert_eq!(seq_readmitted, 1, "an inline read does re-admit it");
+        assert_eq!(fp, seq_fp);
+        assert_eq!(out, seq_out);
+    }
+
+    /// A block lost between recording and replay surfaces during replay
+    /// as on a real read: the task falls back inline and the run fails
+    /// with the same error, lost blocks and fault counters as a
+    /// sequential run.
+    #[test]
+    fn lost_block_during_replay_matches_sequential_failure() {
+        let key = |f: &RunFailure| {
+            format!(
+                "{} {:?} {:?} {:?} {:016x} {:?}",
+                f.error,
+                f.failed,
+                f.lost_blocks,
+                f.dead_nodes,
+                f.makespan_s.to_bits(),
+                f.faults
+            )
+        };
+        let runs = Arc::new(AtomicUsize::new(0));
+        let dag = doubler(&runs);
+        // Replication 1: killing node 2 loses A's only replica.
+        let c = setup(1);
+        let ops = record(&c, &dag);
+        c.store().dfs().kill_node(NodeId(2)).unwrap();
+        let replayed = run_with_recording(&c, &dag, ops).unwrap_err();
+        let replay_runs = runs.swap(0, Ordering::Relaxed);
+
+        let reference = setup(1);
+        reference.store().dfs().kill_node(NodeId(2)).unwrap();
+        let sequential = run_sequential(&reference, &dag).unwrap_err();
+        assert_eq!(
+            replay_runs,
+            1 + runs.load(Ordering::Relaxed),
+            "only the recording ran beyond the sequential attempts"
+        );
+        assert!(matches!(replayed.error, ClusterError::TaskFailed { .. }));
+        assert_eq!(replayed.lost_blocks, vec!["/matrix/A/0_0".to_string()]);
+        assert_eq!(key(&replayed), key(&sequential));
     }
 }

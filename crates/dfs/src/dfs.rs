@@ -90,6 +90,21 @@ impl IoReceipt {
     }
 }
 
+/// Identity of a file's current content: the id of its first block.
+/// Block ids are never reused (`NameNode::allocate_block`) and every write
+/// of a path — an overwrite, a checkpoint rewrite — allocates fresh
+/// blocks, so two reads that observe the same token read the same bytes.
+/// Re-replication and spill demotion keep a block's id, and neither
+/// changes content.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct FileToken(Option<BlockId>);
+
+impl FileToken {
+    fn of(blocks: &[BlockMeta]) -> FileToken {
+        FileToken(blocks.first().map(|b| b.id))
+    }
+}
+
 /// What a whole-file read yields: assembled bytes (byte plane) or the shared
 /// tile handle (handle plane — the caller skips decoding entirely).
 #[derive(Debug, Clone)]
@@ -359,7 +374,7 @@ impl Dfs {
     /// [`DfsError::BlockLost`] surfaces only when *no* replica can serve the
     /// block. The receipt says how many bytes were local vs remote.
     pub fn read_file(&self, path: &str, reader: Option<NodeId>) -> Result<(Bytes, IoReceipt)> {
-        let (payload, receipt) = self.read_payload(path, reader)?;
+        let (payload, receipt, _) = self.read_payload(path, reader)?;
         let bytes = match payload {
             FilePayload::Bytes(b) => b,
             // Serialization boundary: a handle-plane file read as bytes is
@@ -372,14 +387,17 @@ impl Dfs {
     /// Reads a whole file in its native plane: byte-plane files yield their
     /// assembled bytes, handle-plane files yield the shared `Arc<Tile>`
     /// without any encoding. Replica selection, failover, datanode read
-    /// counters, and the receipt are identical to [`Dfs::read_file`].
+    /// counters, and the receipt are identical to [`Dfs::read_file`]. The
+    /// [`FileToken`] names the content version read, taken under the same
+    /// lock as the data.
     pub fn read_payload(
         &self,
         path: &str,
         reader: Option<NodeId>,
-    ) -> Result<(FilePayload, IoReceipt)> {
+    ) -> Result<(FilePayload, IoReceipt, FileToken)> {
         let mut st = self.state.lock();
         let blocks = st.namenode.stat(path)?.blocks.clone();
+        let token = FileToken::of(&blocks);
         if let Some(plane) = st.spill.as_mut() {
             plane.touch(path);
         }
@@ -416,8 +434,8 @@ impl Dfs {
         // colder files now (the file just read is the hottest entry).
         Self::enforce_budget(&mut st)?;
         match handle {
-            Some(tile) => Ok((FilePayload::Tile(tile), receipt)),
-            None => Ok((FilePayload::Bytes(out.freeze()), receipt)),
+            Some(tile) => Ok((FilePayload::Tile(tile), receipt, token)),
+            None => Ok((FilePayload::Bytes(out.freeze()), receipt, token)),
         }
     }
 
@@ -425,10 +443,17 @@ impl Dfs {
     /// read counters, and receipt accounting without assembling the payload.
     /// The tile cache uses this so a cache hit remains observationally
     /// identical to a real read — including [`DfsError::BlockLost`] when the
-    /// underlying replicas have since been destroyed.
-    pub fn read_receipt(&self, path: &str, reader: Option<NodeId>) -> Result<IoReceipt> {
+    /// underlying replicas have since been destroyed. Replays of recorded
+    /// reads use it too, comparing the returned [`FileToken`] (taken under
+    /// the same lock as the receipt) with the one the recording saw.
+    pub fn read_receipt(
+        &self,
+        path: &str,
+        reader: Option<NodeId>,
+    ) -> Result<(IoReceipt, FileToken)> {
         let mut st = self.state.lock();
         let blocks = st.namenode.stat(path)?.blocks.clone();
+        let token = FileToken::of(&blocks);
         // A receipt replay is a cache hit on the decoded tile: the file's
         // data was just accessed, so refresh its LRU recency. A spilled
         // file stays spilled — the cached Arc serves the data, and the
@@ -450,7 +475,7 @@ impl Dfs {
                 receipt.remote_bytes += block.len;
             }
         }
-        Ok(receipt)
+        Ok((receipt, token))
     }
 
     /// True if the path exists.
@@ -1343,7 +1368,7 @@ mod handle_plane_tests {
         let t = tile();
         d.write_tile_file("/t", Arc::clone(&t), encoded_len(&t), Some(NodeId(0)), 2)
             .unwrap();
-        let (payload, _) = d.read_payload("/t", Some(NodeId(0))).unwrap();
+        let (payload, _, _) = d.read_payload("/t", Some(NodeId(0))).unwrap();
         match payload {
             FilePayload::Tile(got) => assert!(Arc::ptr_eq(&got, &t), "no copy on read"),
             FilePayload::Bytes(_) => panic!("handle file came back as bytes"),
@@ -1351,7 +1376,7 @@ mod handle_plane_tests {
         // Byte-plane files still come back as bytes.
         d.write_file("/b", Bytes::from(vec![1u8; 10]), None)
             .unwrap();
-        let (payload, _) = d.read_payload("/b", None).unwrap();
+        let (payload, _, _) = d.read_payload("/b", None).unwrap();
         assert!(matches!(payload, FilePayload::Bytes(_)));
     }
 
@@ -1362,7 +1387,7 @@ mod handle_plane_tests {
         d.write_tile_file("/t", Arc::clone(&t), encoded_len(&t), Some(NodeId(0)), 2)
             .unwrap();
         d.kill_node(NodeId(0)).unwrap();
-        let (payload, _) = d.read_payload("/t", None).unwrap();
+        let (payload, _, _) = d.read_payload("/t", None).unwrap();
         match payload {
             FilePayload::Tile(got) => assert!(Arc::ptr_eq(&got, &t)),
             FilePayload::Bytes(_) => panic!("handle file came back as bytes"),

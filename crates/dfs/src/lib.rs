@@ -31,7 +31,7 @@ pub mod spill;
 pub mod tilestore;
 
 pub use blob::{BlobKey, BlobStats, BlobStore};
-pub use dfs::{Dfs, DfsConfig, IoReceipt, NodeId, StorageAccounting};
+pub use dfs::{Dfs, DfsConfig, FileToken, IoReceipt, NodeId, StorageAccounting};
 pub use error::{DfsError, Result};
 pub use spill::{SpillConfig, SpillPlane, SpillStats};
-pub use tilestore::{MatrixHandle, TileStore};
+pub use tilestore::{MatrixHandle, TileStore, TileVersion};

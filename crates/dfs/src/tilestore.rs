@@ -13,7 +13,7 @@ use cumulon_matrix::gen::Generator;
 use cumulon_matrix::serialize::{decode_tile, encode_tile, encoded_len};
 use cumulon_matrix::{LocalMatrix, MatrixMeta, Tile};
 
-use crate::dfs::{Dfs, FilePayload, IoReceipt, NodeId};
+use crate::dfs::{Dfs, FilePayload, FileToken, IoReceipt, NodeId};
 use crate::error::{DfsError, Result};
 use crate::spill::SpillConfig;
 
@@ -27,10 +27,32 @@ pub struct MatrixHandle {
     /// Optional generator: tiles of generated matrices are produced on
     /// demand by tasks instead of being read from the DFS.
     pub generator: Option<Generator>,
+    /// Store-wide registration number, never reused: a dropped and
+    /// re-registered matrix gets a new one.
+    serial: u64,
+}
+
+/// The content version a tile read observed. A recorded read whose
+/// version still holds reads the same tile again, so a replay can charge
+/// it from metadata alone ([`TileStore::replay_read`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TileVersion {
+    /// A generator-backed tile: the registration serial of its matrix.
+    Generated(u64),
+    /// A DFS-backed tile.
+    Stored {
+        /// Identity of the tile's file.
+        file: FileToken,
+        /// The file is on the byte plane, so its reads go through the
+        /// decoded-tile cache (handle-plane reads never do).
+        decoded: bool,
+    },
 }
 
 struct StoreState {
     matrices: BTreeMap<String, MatrixHandle>,
+    /// Next registration serial.
+    next_serial: u64,
     /// When set, tile writes materialize encoded bytes (the pre-handle-plane
     /// behavior) instead of storing `Arc<Tile>` handles. Kept for tests and
     /// the `--materialize-bytes` CLI mode; receipts and results must be
@@ -60,7 +82,8 @@ fn cache_entry_bytes(tile: &Tile) -> u64 {
 
 #[derive(Default)]
 struct CacheShard {
-    entries: HashMap<String, Arc<Tile>>,
+    /// Decoded tiles with the version they were read at.
+    entries: HashMap<String, (Arc<Tile>, TileVersion)>,
     /// FIFO eviction order of keys currently present.
     order: VecDeque<String>,
     bytes: u64,
@@ -68,7 +91,7 @@ struct CacheShard {
 
 impl CacheShard {
     fn remove(&mut self, key: &str) {
-        if let Some(tile) = self.entries.remove(key) {
+        if let Some((tile, _)) = self.entries.remove(key) {
             self.bytes = self.bytes.saturating_sub(cache_entry_bytes(&tile));
             self.order.retain(|k| k != key);
         }
@@ -119,11 +142,20 @@ impl TileCache {
         &self.shards[(h.finish() as usize) % CACHE_SHARDS]
     }
 
-    fn get(&self, key: &str) -> Option<Arc<Tile>> {
+    fn get(&self, key: &str) -> Option<(Arc<Tile>, TileVersion)> {
         self.shard(key).lock().entries.get(key).cloned()
     }
 
-    fn insert(&self, key: &str, tile: Arc<Tile>) {
+    /// Whether the cache holds `key` at exactly `version`.
+    fn holds(&self, key: &str, version: TileVersion) -> bool {
+        self.shard(key)
+            .lock()
+            .entries
+            .get(key)
+            .is_some_and(|(_, v)| *v == version)
+    }
+
+    fn insert(&self, key: &str, tile: Arc<Tile>, version: TileVersion) {
         let capacity = self.capacity();
         let size = cache_entry_bytes(&tile);
         if size > capacity {
@@ -131,7 +163,7 @@ impl TileCache {
         }
         let mut shard = self.shard(key).lock();
         shard.remove(key);
-        shard.entries.insert(key.to_string(), tile);
+        shard.entries.insert(key.to_string(), (tile, version));
         shard.order.push_back(key.to_string());
         shard.bytes += size;
         // Per-shard budget so the aggregate stays near `capacity`.
@@ -191,6 +223,7 @@ impl TileStore {
             dfs,
             state: Arc::new(RwLock::new(StoreState {
                 matrices: BTreeMap::new(),
+                next_serial: 0,
                 materialize_bytes: false,
             })),
             cache: Arc::new(TileCache::new(cache_bytes)),
@@ -288,7 +321,9 @@ impl TileStore {
             name: name.to_string(),
             meta,
             generator,
+            serial: st.next_serial,
         };
+        st.next_serial += 1;
         st.matrices.insert(name.to_string(), handle.clone());
         Ok(handle)
     }
@@ -420,51 +455,119 @@ impl TileStore {
         reader: Option<NodeId>,
         phantom: bool,
     ) -> Result<(Arc<Tile>, IoReceipt)> {
+        self.read_tile_versioned(name, ti, tj, reader, phantom)
+            .map(|(tile, receipt, _)| (tile, receipt))
+    }
+
+    /// [`TileStore::read_tile`], also returning the content version the
+    /// read observed, taken atomically with the data it returned.
+    pub fn read_tile_versioned(
+        &self,
+        name: &str,
+        ti: usize,
+        tj: usize,
+        reader: Option<NodeId>,
+        phantom: bool,
+    ) -> Result<(Arc<Tile>, IoReceipt, TileVersion)> {
         let handle = self.lookup(name)?;
+        let path = Self::tile_path(name, ti, tj);
         if let Some(generator) = handle.generator {
+            let version = TileVersion::Generated(handle.serial);
             if phantom {
                 let tile = generator.generate_phantom(&handle.meta, ti, tj);
-                return Ok((Arc::new(tile), IoReceipt::default()));
+                return Ok((Arc::new(tile), IoReceipt::default(), version));
             }
-            let path = Self::tile_path(name, ti, tj);
-            if let Some(tile) = self.cache.get(&path) {
+            if let Some((tile, cached)) = self.cache.get(&path) {
                 self.trace_cache(true);
-                return Ok((tile, IoReceipt::default()));
+                return Ok((tile, IoReceipt::default(), cached));
             }
             self.trace_cache(false);
             let tile = Arc::new(generator.generate(&handle.meta, ti, tj));
-            self.cache.insert(&path, tile.clone());
-            return Ok((tile, IoReceipt::default()));
+            self.cache.insert(&path, tile.clone(), version);
+            return Ok((tile, IoReceipt::default(), version));
         }
-        let path = Self::tile_path(name, ti, tj);
         if !self.dfs.exists(&path) {
             return Err(DfsError::TileNotFound {
                 matrix: name.to_string(),
                 tile: (ti, tj),
             });
         }
-        if let Some(tile) = self.cache.get(&path) {
+        // A hit reports the version the cached tile was read at, not the
+        // file's current one, so a replay of it validates the data served.
+        if let Some((tile, cached)) = self.cache.get(&path) {
             self.trace_cache(true);
-            let receipt = self.dfs.read_receipt(&path, reader)?;
+            let (receipt, _) = self.dfs.read_receipt(&path, reader)?;
             let receipt = scale_receipt(receipt, receipt.bytes, tile.stored_bytes());
-            return Ok((tile, receipt));
+            return Ok((tile, receipt, cached));
         }
-        let (payload, receipt) = self.dfs.read_payload(&path, reader)?;
+        let (payload, receipt, file) = self.dfs.read_payload(&path, reader)?;
         match payload {
             // Handle-plane file: the DFS itself holds the Arc — no decode,
             // no cache entry needed; identity is stable across reads. Not
             // counted as a cache miss: the read is cache-invisible.
             FilePayload::Tile(tile) => {
                 let receipt = scale_receipt(receipt, receipt.bytes, tile.stored_bytes());
-                Ok((tile, receipt))
+                let version = TileVersion::Stored {
+                    file,
+                    decoded: false,
+                };
+                Ok((tile, receipt, version))
             }
             FilePayload::Bytes(bytes) => {
                 self.trace_cache(false);
                 let actual = bytes.len() as u64;
                 let tile = Arc::new(decode_tile(bytes)?);
                 let receipt = scale_receipt(receipt, actual, tile.stored_bytes());
-                self.cache.insert(&path, tile.clone());
-                Ok((tile, receipt))
+                let version = TileVersion::Stored {
+                    file,
+                    decoded: true,
+                };
+                self.cache.insert(&path, tile.clone(), version);
+                Ok((tile, receipt, version))
+            }
+        }
+    }
+
+    /// Charges a recorded read again without touching tile data: the
+    /// receipt, datanode read counters, spill recency, any
+    /// [`DfsError::BlockLost`] and the cache trace counters all come out
+    /// as [`TileStore::read_tile`] would produce them now, but a spilled
+    /// tile is not re-admitted, an evicted generated tile is not
+    /// regenerated, and nothing enters the cache. `stored_bytes` is the
+    /// recorded tile's stored size. Returns `Ok(None)` when `version` no
+    /// longer holds — the tile may differ from the one recorded.
+    #[allow(clippy::too_many_arguments)]
+    pub fn replay_read(
+        &self,
+        name: &str,
+        ti: usize,
+        tj: usize,
+        reader: Option<NodeId>,
+        phantom: bool,
+        version: TileVersion,
+        stored_bytes: u64,
+    ) -> Result<Option<IoReceipt>> {
+        let path = Self::tile_path(name, ti, tj);
+        match version {
+            TileVersion::Generated(serial) => {
+                let handle = self.lookup(name)?;
+                if handle.generator.is_none() || handle.serial != serial {
+                    return Ok(None);
+                }
+                if !phantom {
+                    self.trace_cache(self.cache.holds(&path, version));
+                }
+                Ok(Some(IoReceipt::default()))
+            }
+            TileVersion::Stored { file, decoded } => {
+                let (receipt, current) = self.dfs.read_receipt(&path, reader)?;
+                if current != file {
+                    return Ok(None);
+                }
+                if decoded {
+                    self.trace_cache(self.cache.holds(&path, version));
+                }
+                Ok(Some(scale_receipt(receipt, receipt.bytes, stored_bytes)))
             }
         }
     }
@@ -504,6 +607,7 @@ impl TileStore {
             let (bytes, read) = self.dfs.read_file(&path, None)?;
             self.dfs.delete_file(&path)?;
             let write = self.dfs.write_file_with(&path, bytes, None, replication)?;
+            self.cache.invalidate(&path);
             for r in [read, write] {
                 total.bytes += r.bytes;
                 total.local_bytes += r.local_bytes;
@@ -841,6 +945,67 @@ mod data_plane_tests {
         let (a, _) = s.read_tile("A", 0, 0, Some(NodeId(1)), false).unwrap();
         let (b, _) = s.read_tile("A", 0, 0, Some(NodeId(0)), false).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    /// A replay read charges what a real read charges now, from metadata
+    /// alone, and holds only while the recorded version does: a rewrite
+    /// of the file or a re-registration of a generated matrix refuses it.
+    #[test]
+    fn replay_read_matches_read_tile_until_the_version_changes() {
+        for materialize in [false, true] {
+            let s = store_with(5);
+            s.set_materialize_bytes(materialize);
+            s.register("A", MatrixMeta::new(4, 4, 4)).unwrap();
+            let tile = Tile::dense(cumulon_matrix::gen::dense_uniform_tile(
+                2, 0, 0, 4, 4, -1.0, 1.0,
+            ));
+            s.write_tile("A", 0, 0, &tile, Some(NodeId(0))).unwrap();
+            let (got, _, version) = s
+                .read_tile_versioned("A", 0, 0, Some(NodeId(3)), false)
+                .unwrap();
+            let stored = got.stored_bytes();
+            assert!(
+                matches!(version, TileVersion::Stored { decoded, .. } if decoded == materialize)
+            );
+            for reader in 0..4 {
+                let reader = Some(NodeId(reader));
+                let replayed = s
+                    .replay_read("A", 0, 0, reader, false, version, stored)
+                    .unwrap();
+                let (_, real, again) = s.read_tile_versioned("A", 0, 0, reader, false).unwrap();
+                assert_eq!(replayed, Some(real), "materialize={materialize}");
+                assert_eq!(again, version, "reads do not change the version");
+            }
+            s.checkpoint_matrix("A", 2).unwrap();
+            assert_eq!(
+                s.replay_read("A", 0, 0, None, false, version, stored)
+                    .unwrap(),
+                None,
+                "a rewritten file refuses the replay"
+            );
+        }
+
+        let s = store_with(6);
+        let meta = MatrixMeta::new(4, 4, 4);
+        s.register_generated("G", meta, Generator::DenseGaussian { seed: 1 })
+            .unwrap();
+        let (got, io, version) = s.read_tile_versioned("G", 0, 0, None, false).unwrap();
+        assert_eq!(io, IoReceipt::default());
+        let stored = got.stored_bytes();
+        assert_eq!(
+            s.replay_read("G", 0, 0, None, false, version, stored)
+                .unwrap(),
+            Some(IoReceipt::default())
+        );
+        s.drop_matrix("G").unwrap();
+        s.register_generated("G", meta, Generator::DenseGaussian { seed: 2 })
+            .unwrap();
+        assert_eq!(
+            s.replay_read("G", 0, 0, None, false, version, stored)
+                .unwrap(),
+            None,
+            "a re-registered generator refuses the replay"
+        );
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! tile whose nnz estimate follows the standard independence assumptions
 //! used by the cost models.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crate::dense::DenseTile;
 use crate::error::{MatrixError, Result};
 use crate::sparse::CsrTile;
@@ -27,40 +29,91 @@ pub enum TileData {
 }
 
 /// A tile of a distributed matrix: dimensions plus payload.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct Tile {
     rows: usize,
     cols: usize,
     data: TileData,
+    /// Exact nnz of a dense payload, counted on first use: a dense count
+    /// is a full scan, and the sparse-by-dense work model asks for it on
+    /// every product. Not part of the tile's value.
+    dense_nnz: NnzMemo,
+}
+
+/// A lazily filled count; [`NnzMemo::UNKNOWN`] until first computed.
+/// `Relaxed` suffices: the count publishes nothing but itself, and it is
+/// derived from data every holder of `&Tile` already sees.
+struct NnzMemo(AtomicU64);
+
+impl NnzMemo {
+    const UNKNOWN: u64 = u64::MAX;
+
+    fn unknown() -> Self {
+        NnzMemo(AtomicU64::new(Self::UNKNOWN))
+    }
+
+    fn get_or(&self, count: impl FnOnce() -> u64) -> u64 {
+        match self.0.load(Ordering::Relaxed) {
+            Self::UNKNOWN => {
+                let n = count();
+                self.0.store(n, Ordering::Relaxed);
+                n
+            }
+            n => n,
+        }
+    }
+
+    fn reset(&mut self) {
+        *self.0.get_mut() = Self::UNKNOWN;
+    }
+}
+
+impl Clone for NnzMemo {
+    fn clone(&self) -> Self {
+        NnzMemo(AtomicU64::new(self.0.load(Ordering::Relaxed)))
+    }
+}
+
+impl PartialEq for Tile {
+    fn eq(&self, other: &Tile) -> bool {
+        self.rows == other.rows && self.cols == other.cols && self.data == other.data
+    }
+}
+
+impl std::fmt::Debug for Tile {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Tile")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("data", &self.data)
+            .finish()
+    }
 }
 
 impl Tile {
+    fn with_data(rows: usize, cols: usize, data: TileData) -> Self {
+        Tile {
+            rows,
+            cols,
+            data,
+            dense_nnz: NnzMemo::unknown(),
+        }
+    }
+
     /// Wraps a dense tile.
     pub fn dense(d: DenseTile) -> Self {
-        Tile {
-            rows: d.rows(),
-            cols: d.cols(),
-            data: TileData::Dense(d),
-        }
+        Tile::with_data(d.rows(), d.cols(), TileData::Dense(d))
     }
 
     /// Wraps a sparse tile.
     pub fn sparse(s: CsrTile) -> Self {
-        Tile {
-            rows: s.rows(),
-            cols: s.cols(),
-            data: TileData::Sparse(s),
-        }
+        Tile::with_data(s.rows(), s.cols(), TileData::Sparse(s))
     }
 
     /// Creates a metadata-only tile with an nnz estimate.
     pub fn phantom(rows: usize, cols: usize, nnz: u64) -> Self {
         let cap = (rows as u64).saturating_mul(cols as u64);
-        Tile {
-            rows,
-            cols,
-            data: TileData::Phantom { nnz: nnz.min(cap) },
-        }
+        Tile::with_data(rows, cols, TileData::Phantom { nnz: nnz.min(cap) })
     }
 
     /// Creates a fully-dense phantom tile.
@@ -104,7 +157,7 @@ impl Tile {
     /// Exact nnz for materialised tiles, the estimate for phantom tiles.
     pub fn nnz(&self) -> u64 {
         match &self.data {
-            TileData::Dense(d) => d.nnz(),
+            TileData::Dense(d) => self.dense_nnz.get_or(|| d.nnz()),
             TileData::Sparse(s) => s.nnz(),
             TileData::Phantom { nnz } => *nnz,
         }
@@ -230,6 +283,7 @@ impl Tile {
     /// nnz estimate for phantom sums assumes independent supports.
     pub fn add_assign(&mut self, other: &Tile) -> Result<()> {
         self.check_same_shape("tile_add", other)?;
+        self.dense_nnz.reset();
         use TileData::*;
         let cap = (self.rows * self.cols) as u64;
         match (&mut self.data, &other.data) {
@@ -312,7 +366,10 @@ impl Tile {
     /// Transposes the tile.
     pub fn transpose(&self) -> Tile {
         match &self.data {
-            TileData::Dense(d) => Tile::dense(d.transpose()),
+            TileData::Dense(d) => Tile {
+                dense_nnz: self.dense_nnz.clone(),
+                ..Tile::dense(d.transpose())
+            },
             TileData::Sparse(s) => Tile::sparse(s.transpose()),
             TileData::Phantom { nnz } => Tile::phantom(self.cols, self.rows, *nnz),
         }
@@ -320,6 +377,7 @@ impl Tile {
 
     /// Scales the tile by `s` (no-op on phantom payloads except s == 0).
     pub fn scale(&mut self, s: f64) {
+        self.dense_nnz.reset();
         match &mut self.data {
             TileData::Dense(d) => d.scale(s),
             TileData::Sparse(sp) => sp.scale(s),
@@ -569,6 +627,32 @@ mod tests {
         assert_eq!(dense_phantom.stored_bytes(), 24 + 80_000);
         let sparse_phantom = Tile::phantom(100, 100, 10);
         assert_eq!(sparse_phantom.stored_bytes(), 24 + 4 * 101 + 120);
+    }
+
+    #[test]
+    fn dense_nnz_memo_tracks_mutation() {
+        let mut t = d(2, 2, vec![1.0, 0.0, 0.0, 2.0]);
+        assert_eq!(t.nnz(), 2);
+        assert_eq!(t.clone().nnz(), 2, "clones carry the count");
+        let tt = t.transpose();
+        assert_eq!(tt.nnz(), 2);
+        assert_eq!(tt.density(), 0.5);
+        t.add_assign(&d(2, 2, vec![0.0, 3.0, 4.0, 0.0])).unwrap();
+        assert_eq!(t.nnz(), 4, "add_assign invalidates the count");
+        t.add_assign(&d(2, 2, vec![-1.0, 0.0, 0.0, 0.0])).unwrap();
+        assert_eq!(t.nnz(), 3);
+        t.scale(0.0);
+        assert_eq!(t.nnz(), 0, "scale invalidates the count");
+        // The memo is invisible to equality and Debug.
+        let a = d(1, 2, vec![5.0, 0.0]);
+        let b = a.clone();
+        a.nnz();
+        assert_eq!(a, b);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(
+            format!("{a:?}"),
+            format!("Tile {{ rows: 1, cols: 2, data: {:?} }}", a.payload())
+        );
     }
 
     #[test]

@@ -46,9 +46,13 @@ impl Client {
         if line.contains('\n') {
             return Err(CoreError::Invariant("request must be a single line".into()));
         }
+        // One write for the line and its newline: a trailing one-byte
+        // segment would wait on the server's delayed ACK (Nagle).
+        let mut framed = Vec::with_capacity(line.len() + 1);
+        framed.extend_from_slice(line.as_bytes());
+        framed.push(b'\n');
         self.writer
-            .write_all(line.as_bytes())
-            .and_then(|_| self.writer.write_all(b"\n"))
+            .write_all(&framed)
             .map_err(|e| CoreError::Invariant(format!("send failed: {e}")))?;
         let mut response = String::new();
         self.reader
